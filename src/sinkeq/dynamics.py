@@ -35,50 +35,47 @@ class ResponseSet:
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """Sparse row-stochastic kernel over the joint-action space.
+    """Sparse row-stochastic kernel over the joint-action space, in CSR form.
 
-    ``rows[a]`` lists ``(target, probability)`` pairs sorted by target; every
-    positive-probability target differs from ``a`` in at most one player
-    coordinate.
+    Row ``a`` holds targets ``indices[indptr[a]:indptr[a + 1]]``, strictly
+    increasing, with probabilities at the same positions of ``probs``; every
+    target differs from ``a`` in at most one player coordinate.
     """
 
     num_states: int
     num_players: int
     mode: str
     tie_tol: float
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    probs: np.ndarray
 
     def row(self, state: int) -> tuple[tuple[int, float], ...]:
-        return self.rows[state]
-
-    def successors(self, state: int) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.rows[state])
-
-    def probability(self, src: int, dst: int) -> float:
-        for t, p in self.rows[src]:
-            if t == dst:
-                return p
-        return 0.0
+        lo, hi = self.indptr[state], self.indptr[state + 1]
+        return tuple(zip(self.indices[lo:hi].tolist(), self.probs[lo:hi].tolist()))
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        for src, row in enumerate(self.rows):
-            for dst, p in row:
-                yield src, dst, p
+        src = np.repeat(np.arange(self.num_states), np.diff(self.indptr))
+        return zip(src.tolist(), self.indices.tolist(), self.probs.tolist())
 
 
-def _deviation_values(game: NormalFormGame, player: int) -> tuple[np.ndarray, np.ndarray]:
-    """Utility matrix ``val[k, a]``: player's payoff after switching to k at a.
+def _response_mask(
+    game: NormalFormGame, player: int, mode: str, tie_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean ``mask[k, a]``: action k is in the player's response set at a.
 
     Also returns the player's current action index per state.
     """
     s = game.strides[player]
-    c = game.action_counts[player]
-    flats = np.arange(game.num_profiles)
-    digits = (flats // s) % c
-    base = flats - digits * s
+    digits = game.player_digits(player)
+    base = np.arange(game.num_profiles) - digits * s
     table = game.utilities[player]
-    val = np.vstack([table[base + k * s] for k in range(c)])
-    return val, digits
+    val = np.vstack([table[base + k * s] for k in range(game.action_counts[player])])
+    if mode == BEST:
+        mask = val >= val.max(axis=0) - tie_tol
+    else:
+        mask = val >= table
+    return mask, digits
 
 
 def best_response_set(
@@ -135,50 +132,59 @@ def build_kernel(
 
     n = game.num_players
     num_states = game.num_profiles
-    masks: list[np.ndarray] = []
-    digits: list[np.ndarray] = []
+    states = np.arange(num_states)
+    srcs, dsts, probs = [], [], []
+    # Off-diagonal targets come from exactly one player; only self-loops
+    # collect shares from several, summed in player order.
+    diag = np.zeros(num_states)
     for player in range(n):
-        val, dig = _deviation_values(game, player)
-        if mode == BEST:
-            mask = val >= val.max(axis=0) - tie_tol
-        else:
-            mask = val >= game.utilities[player]
-        masks.append(mask)
-        digits.append(dig)
+        mask, digits = _response_mask(game, player, mode, tie_tol)
+        share = 1.0 / (n * mask.sum(axis=0))
+        own = (digits, states)
+        diag += np.where(mask[own], share, 0.0)
+        mask[own] = False
+        acts, src = np.nonzero(mask)
+        srcs.append(src)
+        dsts.append(src + (acts - digits[src]) * game.strides[player])
+        probs.append(share[src])
+    looped = np.flatnonzero(diag)
+    srcs.append(looped)
+    dsts.append(looped)
+    probs.append(diag[looped])
 
-    strides = game.strides
-    rows = []
-    for a in range(num_states):
-        acc: dict[int, float] = {}
-        for player in range(n):
-            acts = np.flatnonzero(masks[player][:, a])
-            share = 1.0 / (n * acts.size)
-            base = a - int(digits[player][a]) * strides[player]
-            for k in acts:
-                target = base + int(k) * strides[player]
-                acc[target] = acc.get(target, 0.0) + share
-        rows.append(tuple(sorted(acc.items())))
-
-    return TransitionKernel(
+    src = np.concatenate(srcs)
+    dst = np.concatenate(dsts)
+    order = np.argsort(src * num_states + dst)
+    kernel = TransitionKernel(
         num_states=num_states,
         num_players=n,
         mode=mode,
         tie_tol=float(tie_tol),
-        rows=tuple(rows),
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
+        indices=dst[order],
+        probs=np.concatenate(probs)[order],
     )
+    for arr in (kernel.indptr, kernel.indices, kernel.probs):
+        arr.setflags(write=False)
+    return kernel
 
 
-def is_singleton_br(game: NormalFormGame) -> tuple[bool, tuple[int, int] | None]:
-    """Whether every exact best-response set has exactly one element.
+def is_singleton_br(
+    game: NormalFormGame, tie_tol: float = 0.0
+) -> tuple[bool, tuple[int, int] | None]:
+    """Whether every best-response set within ``tie_tol`` has exactly one
+    element; ``tie_tol=0`` checks the exact argmax sets.
 
     Returns ``(True, None)`` or ``(False, (player, state))`` for the violation
     with the smallest state index (smallest player breaking ties).
     """
-    tie_counts = []
-    for player in range(game.num_players):
-        val, _ = _deviation_values(game, player)
-        tie_counts.append((val == val.max(axis=0)).sum(axis=0))
-    stacked = np.vstack(tie_counts) > 1
+    if tie_tol < 0:
+        raise InvalidParametersError("tie_tol must be nonnegative")
+    counts = [
+        _response_mask(game, player, BEST, tie_tol)[0].sum(axis=0)
+        for player in range(game.num_players)
+    ]
+    stacked = np.vstack(counts) > 1
     broken_states = np.flatnonzero(stacked.any(axis=0))
     if broken_states.size == 0:
         return True, None

@@ -30,16 +30,20 @@ class SinkEquilibrium:
     expected_welfare: float
 
 
-def strongly_connected_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
-    """All SCCs of the positive-probability transition graph.
+def _tarjan(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """SCCs in the order Tarjan's algorithm pops them, and each state's
+    position in that list.
 
-    Iterative Tarjan with an explicit work stack; recursion would overflow on
-    chains with ~1e5 states.
+    Iterative, with an explicit work stack; recursion would overflow on
+    chains with ~1e5 states.  A state is on the Tarjan stack while it has an
+    index but no component label yet.
     """
     n = kernel.num_states
+    indptr = kernel.indptr.tolist()
+    indices = kernel.indices.tolist()
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = bytearray(n)
+    label = [-1] * n
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
     counter = 0
@@ -47,74 +51,85 @@ def strongly_connected_components(kernel: TransitionKernel) -> list[tuple[int, .
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[list[int]] = [[root, 0]]
+        work: list[list[int]] = [[root, indptr[root]]]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
+            frame = work[-1]
+            v, pos = frame
+            end = indptr[v + 1]
             descended = False
-            row = kernel.rows[v]
-            while pos < len(row):
-                w = row[pos][0]
+            while pos < end:
+                w = indices[pos]
                 pos += 1
                 if index[w] == -1:
-                    work[-1][1] = pos
-                    work.append([w, 0])
+                    frame[1] = pos
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append([w, indptr[w]])
                     descended = True
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
+                if label[w] == -1 and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
             if descended:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] < lowlink[parent]:
+                    lowlink[parent] = lowlink[v]
             if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
+                cid = len(components)
+                split = len(stack) - 1
+                while stack[split] != v:
+                    split -= 1
+                comp = stack[split:]
+                del stack[split:]
+                for w in comp:
+                    label[w] = cid
                 components.append(tuple(sorted(comp)))
-    return components
+    return components, np.array(label, dtype=np.int64)
+
+
+def strongly_connected_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
+    """All SCCs of the positive-probability transition graph (Tarjan 1972)."""
+    return _tarjan(kernel)[0]
 
 
 def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     """SCCs with no outgoing transition, ordered by their smallest state."""
-    components = strongly_connected_components(kernel)
-    comp_id = [0] * kernel.num_states
-    for cid, comp in enumerate(components):
-        for state in comp:
-            comp_id[state] = cid
-    sinks = []
-    for cid, comp in enumerate(components):
-        escapes = any(
-            comp_id[t] != cid for state in comp for t, _ in kernel.rows[state]
-        )
-        if not escapes:
-            sinks.append(comp)
+    components, label = _tarjan(kernel)
+    src_label = np.repeat(label, np.diff(kernel.indptr))
+    escapes = np.zeros(len(components), dtype=bool)
+    escapes[src_label[src_label != label[kernel.indices]]] = True
+    sinks = [components[cid] for cid in np.flatnonzero(~escapes).tolist()]
     sinks.sort(key=lambda comp: comp[0])
     return sinks
 
 
 def _restricted_matrix(kernel: TransitionKernel, support: tuple[int, ...]) -> np.ndarray:
-    pos = {s: i for i, s in enumerate(support)}
+    """Dense transition matrix among the states of a sorted, closed support."""
     k = len(support)
+    rows = np.asarray(support)
+    starts = kernel.indptr[rows]
+    lengths = kernel.indptr[rows + 1] - starts
+    local_row = np.repeat(np.arange(k), lengths)
+    # CSR positions of every entry in the support's rows, row after row.
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    edge = np.arange(offsets.size) + offsets
+    targets = kernel.indices[edge]
+    cols = np.searchsorted(rows, targets)
+    leaving = np.flatnonzero(rows[np.minimum(cols, k - 1)] != targets)
+    if leaving.size:
+        first = leaving[0]
+        raise InvalidParametersError(
+            f"support is not closed: {support[local_row[first]]} -> "
+            f"{targets[first]} leaves it"
+        )
     matrix = np.zeros((k, k))
-    for s in support:
-        for t, p in kernel.rows[s]:
-            j = pos.get(t)
-            if j is None:
-                raise InvalidParametersError(
-                    f"support is not closed: {s} -> {t} leaves it"
-                )
-            matrix[pos[s], j] += p
+    matrix[local_row, cols] = kernel.probs[edge]
     return matrix
 
 

@@ -323,12 +323,13 @@ def bound_report(game: NormalFormGame, tie_tol: float = 0.0) -> BoundReport:
     """Exact price of sinking compared against both misalignment floors.
 
     The floors use the common-interest certificate from ``best_smoothness``.
-    They apply only under singleton best responses; when that hypothesis or a
-    beta measurement fails, the corresponding satisfied flag is ``None``.
+    They apply only under singleton best responses, checked within the same
+    ``tie_tol`` as the analyzed chain; when that hypothesis or a beta
+    measurement fails, the corresponding satisfied flag is ``None``.
     """
     lam_c, mu_c = best_smoothness(game, common_interest=True)
     report = measure_misalignment(game)
-    singleton, _ = is_singleton_br(game)
+    singleton, _ = is_singleton_br(game, tie_tol)
     pos, worst = price_of_sinking(game, mode=BEST, tie_tol=tie_tol)
     n = game.num_players
 

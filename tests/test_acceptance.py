@@ -280,14 +280,14 @@ def test_numerical_hygiene():
     for game in games:
         for mode in (BEST, BETTER):
             kernel = build_kernel(game, mode)
-            for row in kernel.rows:
+            for row in map(kernel.row, range(kernel.num_states)):
                 worst_row = max(worst_row, abs(sum(p for _, p in row) - 1.0))
             for support in sink_components(kernel):
                 pi = stationary_distribution(kernel, support)
                 pos = {s: i for i, s in enumerate(support)}
                 flow = np.zeros(len(support))
                 for s in support:
-                    for t, p in kernel.rows[s]:
+                    for t, p in kernel.row(s):
                         flow[pos[t]] += pi[pos[s]] * p
                 worst_residual = max(worst_residual, float(np.max(np.abs(flow - pi))))
 

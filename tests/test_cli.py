@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinkeq
 from sinkeq.cli import main
 from sinkeq.game import NormalFormGame, game_to_dict
 
@@ -177,3 +182,25 @@ class TestExportKernel:
             src, _, prob = line.split(",")
             rows[src] = rows.get(src, 0.0) + float(prob)
         assert all(abs(total - 1.0) <= 1e-12 for total in rows.values())
+
+
+class TestImports:
+    def test_analysis_loads_no_scipy_or_networkx(self, tmp_path):
+        # The kernel, SCC and sink code is numpy-only by design; importing
+        # scipy.sparse alone would add tens of MB of RSS to every CLI run.
+        from sinkeq.generators import counterexample_game
+
+        path = write_game(tmp_path, counterexample_game(1.0, 2.0))
+        code = (
+            "import sys\n"
+            "from sinkeq.cli import main\n"
+            f"assert main(['analyze', '--input', {path!r}]) == 0\n"
+            f"assert main(['bounds', '--input', {path!r}]) == 0\n"
+            "print(sorted({'scipy', 'networkx'} & {m.split('.')[0] for m in sys.modules}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sinkeq.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"

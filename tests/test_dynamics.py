@@ -20,7 +20,7 @@ def single_player(utility):
 
 
 def row_dict(kernel, state):
-    return dict(kernel.rows[state])
+    return dict(kernel.row(state))
 
 
 class TestBestResponseSet:
@@ -96,7 +96,7 @@ class TestKernel:
             g = sample_random_game(rng, counts)
             for mode in (BEST, BETTER):
                 k = build_kernel(g, mode)
-                for row in k.rows:
+                for row in map(k.row, range(k.num_states)):
                     assert abs(sum(p for _, p in row) - 1.0) <= 1e-12
                     assert all(p > 0 for _, p in row)
 
@@ -160,3 +160,10 @@ class TestSingletonCheck:
 
     def test_single_player_strict(self):
         assert is_singleton_br(single_player([0.0, 1.0])) == (True, None)
+
+    def test_tie_tol_widens_the_check(self):
+        g = single_player([0.0, 0.5, 1.0])
+        assert is_singleton_br(g, tie_tol=0.4) == (True, None)
+        assert is_singleton_br(g, tie_tol=0.5) == (False, (0, 0))
+        with pytest.raises(InvalidParametersError):
+            is_singleton_br(g, tie_tol=-1e-9)

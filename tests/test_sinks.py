@@ -32,12 +32,15 @@ def common_interest(counts, welfare):
 
 
 def hand_kernel(rows):
+    entries = [sorted(r.items()) for r in rows]
     return TransitionKernel(
         num_states=len(rows),
         num_players=1,
         mode=BEST,
         tie_tol=0.0,
-        rows=tuple(tuple(sorted(r.items())) for r in rows),
+        indptr=np.cumsum([0] + [len(e) for e in entries]),
+        indices=np.array([t for e in entries for t, _ in e], dtype=np.int64),
+        probs=np.array([p for e in entries for _, p in e]),
     )
 
 
@@ -117,7 +120,7 @@ class TestStationary:
                 pos = {s: i for i, s in enumerate(support)}
                 residual = np.zeros(len(support))
                 for s in support:
-                    for t, p in k.rows[s]:
+                    for t, p in k.row(s):
                         residual[pos[t]] += pi[pos[s]] * p
                 assert np.max(np.abs(residual - pi)) <= 1e-10
 

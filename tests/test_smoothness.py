@@ -15,6 +15,7 @@ from sinkeq.generators import (
     philox_rng,
     sample_covering_instance,
     sample_game_with_pure_nash,
+    sample_near_common_game,
     sample_radio_instance,
     sample_random_game,
 )
@@ -208,6 +209,18 @@ class TestBoundReport:
         u1 = np.array([0.0, 1.0, 2.0, 3.0])
         g = NormalFormGame((2, 2), np.ones(4), np.vstack([u0, u1]))
         report = bound_report(g)
+        assert not report.singleton_br
+        assert report.satisfied_arithmetic is None
+        assert report.satisfied_geometric is None
+
+    def test_singleton_check_uses_the_analyzed_tie_tol(self):
+        # Exact best responses are singletons here, but within tie_tol=0.5
+        # every kernel row has several successors, so the floors do not apply.
+        g = sample_near_common_game(philox_rng(1, 0), (3, 3), 0.05)
+        assert is_singleton_br(g) == (True, None)
+        kernel = build_kernel(g, BEST, tie_tol=0.5)
+        assert np.diff(kernel.indptr).min() > 1
+        report = bound_report(g, tie_tol=0.5)
         assert not report.singleton_br
         assert report.satisfied_arithmetic is None
         assert report.satisfied_geometric is None
