@@ -109,8 +109,13 @@ def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     return sinks
 
 
-def _restricted_matrix(kernel: TransitionKernel, support: tuple[int, ...]) -> np.ndarray:
-    """Dense transition matrix among the states of a sorted, closed support."""
+# Local (row, col, prob) entries of a sink's transition matrix.
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _support_triples(kernel: TransitionKernel, support: tuple[int, ...]) -> Triples:
+    """Entries of the chain on a sorted, closed support, gathered from the
+    kernel's CSR rows in row order."""
     k = len(support)
     rows = np.asarray(support)
     starts = kernel.indptr[rows]
@@ -128,22 +133,32 @@ def _restricted_matrix(kernel: TransitionKernel, support: tuple[int, ...]) -> np
             f"support is not closed: {support[local_row[first]]} -> "
             f"{targets[first]} leaves it"
         )
-    matrix = np.zeros((k, k))
-    matrix[local_row, cols] = kernel.probs[edge]
-    return matrix
+    return local_row, cols, kernel.probs[edge]
 
 
-def _power_iteration(matrix: np.ndarray) -> np.ndarray:
+def _left_product(pi: np.ndarray, triples: Triples) -> np.ndarray:
+    """``pi @ P`` for the sparse matrix P given by its entries."""
+    row, col, prob = triples
+    return np.bincount(col, weights=pi[row] * prob, minlength=pi.size)
+
+
+def _residual(pi: np.ndarray, triples: Triples) -> float:
+    return float(np.max(np.abs(_left_product(pi, triples) - pi)))
+
+
+def _power_iteration(triples: Triples, k: int) -> np.ndarray:
     # Lazy chain (P+I)/2 shares the stationary vector and is aperiodic.
-    k = matrix.shape[0]
     pi = np.full(k, 1.0 / k)
     for _ in range(POWER_MAX_STEPS):
-        nxt = 0.5 * (pi + pi @ matrix)
+        nxt = 0.5 * (pi + _left_product(pi, triples))
         nxt /= nxt.sum()
         if np.max(np.abs(nxt - pi)) <= POWER_TOL:
             return nxt
         pi = nxt
-    raise NumericalFailureError("power iteration did not converge")
+    raise NumericalFailureError(
+        f"power iteration on a {k}-state sink did not converge in "
+        f"{POWER_MAX_STEPS} steps (residual {_residual(pi, triples):.3e})"
+    )
 
 
 def stationary_distribution(
@@ -151,20 +166,26 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Unique stationary vector of the chain restricted to a sink component.
 
-    Solves the balance equations directly with one row replaced by the
-    normalization constraint; supports larger than DIRECT_SOLVE_LIMIT states
-    fall back to damped power iteration.
+    Supports of at most DIRECT_SOLVE_LIMIT states solve the balance equations
+    directly, densely, with one row replaced by the normalization constraint.
+    Larger supports run lazy power iteration on the sink's sparse CSR rows,
+    so no k-by-k matrix is built.  On both paths the residual
+    ``max |pi P - pi|`` is certified on those same sparse rows.
     """
     support = tuple(sorted(int(s) for s in support))
     if not support:
         raise InvalidParametersError("support must be nonempty")
-    matrix = _restricted_matrix(kernel, support)
+    triples = _support_triples(kernel, support)
     k = len(support)
     if k == 1:
         return np.array([1.0])
 
     if k <= DIRECT_SOLVE_LIMIT:
-        system = matrix.T - np.eye(k)
+        row, col, prob = triples
+        # (P - I) transposed, so that system @ pi = 0.
+        system = np.zeros((k, k))
+        system[col, row] = prob
+        system[np.diag_indices(k)] -= 1.0
         system[-1, :] = 1.0
         rhs = np.zeros(k)
         rhs[-1] = 1.0
@@ -173,13 +194,13 @@ def stationary_distribution(
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"stationary solve failed: {exc}") from exc
     else:
-        pi = _power_iteration(matrix)
+        pi = _power_iteration(triples, k)
 
     total = pi.sum()
     if not np.isfinite(total) or total <= 0:
         raise NumericalFailureError("stationary solve produced a non-distribution")
     pi = pi / total
-    residual = float(np.max(np.abs(pi @ matrix - pi)))
+    residual = _residual(pi, triples)
     if residual > STATIONARY_TOL:
         raise NumericalFailureError(
             f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.0e}"
@@ -199,9 +220,11 @@ def sink_equilibria(
     out = []
     for support in sink_components(kernel):
         pi = stationary_distribution(kernel, support)
-        expected = math.fsum(
-            float(p) * float(game.welfare[s]) for p, s in zip(pi, support)
-        )
+        welfare = game.welfare[list(support)]
+        expected = math.fsum(float(p) * float(w) for p, w in zip(pi, welfare))
+        # A convex combination lies within its terms; pi may sum to one
+        # only up to rounding.
+        expected = min(max(expected, float(welfare.min())), float(welfare.max()))
         out.append(
             SinkEquilibrium(
                 support=support, probabilities=pi, expected_welfare=expected

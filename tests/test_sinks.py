@@ -1,18 +1,28 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sinkeq.sinks as sinks
 from sinkeq.dynamics import BEST, BETTER, TransitionKernel, best_response_set, build_kernel, is_singleton_br
-from sinkeq.errors import DegenerateWelfareError, InvalidParametersError
+from sinkeq.errors import DegenerateWelfareError, InvalidParametersError, NumericalFailureError
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
+    CoveringMonteCarloSpec,
     counterexample_game,
+    make_covering_game,
+    make_radio_game,
     philox_rng,
+    run_monte_carlo,
     sample_action_counts,
+    sample_covering_instance,
+    sample_radio_instance,
     sample_random_game,
 )
 from sinkeq.sinks import (
+    DIRECT_SOLVE_LIMIT,
+    STATIONARY_TOL,
     price_of_sinking,
     sink_components,
     sink_equilibria,
@@ -191,6 +201,14 @@ class TestPriceOfSinking:
         pos, _ = price_of_sinking(g, BEST)
         assert pos == 1.0
 
+    def test_rounding_never_lifts_the_ratio_above_one(self):
+        # Trial 31 of master seed 5 has a 126-state sink whose states all
+        # have the optimal welfare; its probabilities sum to 1 + 1 ulp.
+        spec = CoveringMonteCarloSpec(num_agents=4, num_regions=8, bias=0.01, scale=0.01)
+        results = run_monte_carlo(spec, 50, 5).results
+        assert results[31].pos == 1.0
+        assert all(r.pos <= 1.0 for r in results)
+
 
 class TestStationarityIdentity:
     def test_best_response_deviation_sums_vanish(self):
@@ -219,3 +237,128 @@ class TestStationarityIdentity:
                             inner += func[s] - func[target]
                         total.append(p * inner)
                     assert abs(math.fsum(total)) <= 1e-8
+
+
+def dense_matrix(kernel, support):
+    pos = {s: i for i, s in enumerate(support)}
+    matrix = np.zeros((len(support), len(support)))
+    for s in support:
+        for t, p in kernel.row(s):
+            matrix[pos[s], pos[t]] = p
+    return matrix
+
+
+def dense_solve(matrix):
+    """Balance equations with the last one replaced by normalization."""
+    k = matrix.shape[0]
+    system = matrix.T - np.eye(k)
+    system[-1, :] = 1.0
+    rhs = np.zeros(k)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
+
+
+def dense_power_iteration(matrix):
+    """The lazy chain (P+I)/2 iterated with dense products, stopped on the
+    step difference at POWER_TOL."""
+    pi = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
+    for _ in range(sinks.POWER_MAX_STEPS):
+        nxt = 0.5 * (pi + pi @ matrix)
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - pi)) <= sinks.POWER_TOL:
+            return nxt / nxt.sum()
+        pi = nxt
+    pytest.fail("dense power iteration did not converge")
+
+
+def power_corpus():
+    rng = philox_rng(41, 0)
+    games = [sample_random_game(rng, sample_action_counts(rng)) for _ in range(12)]
+    games += [make_radio_game(sample_radio_instance(n, 0.8, n)) for n in (3, 5, 7)]
+    games += [
+        make_covering_game(sample_covering_instance(4, m, 0.01, 0.01, m))
+        for m in (2, 3, 4)
+    ]
+    return games
+
+
+@pytest.fixture(scope="module")
+def large_sink():
+    """The first (6, 6, 6, 10) game of seed 1 with no pure Nash equilibrium;
+    its better-response chain has one sink above DIRECT_SOLVE_LIMIT."""
+    rng = philox_rng(1, 0)
+    game = sample_random_game(rng, (6, 6, 6, 10))
+    while enumerate_nash(game):
+        game = sample_random_game(rng, (6, 6, 6, 10))
+    kernel = build_kernel(game, BETTER)
+    (support,) = sink_components(kernel)
+    assert len(support) > DIRECT_SOLVE_LIMIT
+    return kernel, support
+
+
+class TestPowerPath:
+    """The power-iteration path, which only sinks above DIRECT_SOLVE_LIMIT
+    states take, against dense references."""
+
+    def test_matches_dense_references(self, monkeypatch):
+        monkeypatch.setattr(sinks, "DIRECT_SOLVE_LIMIT", 1)
+        checked = set()
+        for game in power_corpus():
+            for mode in (BEST, BETTER):
+                kernel = build_kernel(game, mode)
+                for support in sink_components(kernel):
+                    if len(support) == 1:
+                        continue
+                    pi = stationary_distribution(kernel, support)
+                    matrix = dense_matrix(kernel, support)
+                    # Sparse and dense products of the same iteration agree to
+                    # rounding; both stop within STATIONARY_TOL of the solve.
+                    np.testing.assert_allclose(
+                        pi, dense_power_iteration(matrix), rtol=0, atol=1e-15
+                    )
+                    np.testing.assert_allclose(
+                        pi, dense_solve(matrix), rtol=0, atol=STATIONARY_TOL
+                    )
+                    checked.add((mode, len(support)))
+        assert {mode for mode, _ in checked} == {BEST, BETTER}
+        assert max(size for _, size in checked) > 100
+
+    def test_real_sink_above_the_limit(self, large_sink):
+        kernel, support = large_sink
+        pi = stationary_distribution(kernel, support)
+        matrix = dense_matrix(kernel, support)
+        assert pi.min() > 0.0
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(pi @ matrix - pi)) <= STATIONARY_TOL
+        np.testing.assert_allclose(pi, dense_solve(matrix), rtol=0, atol=STATIONARY_TOL)
+
+    def test_allocates_no_dense_matrix(self, large_sink):
+        kernel, support = large_sink
+        k = len(support)
+        tracemalloc.start()
+        try:
+            stationary_distribution(kernel, support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8 / 10
+
+    def test_open_support_above_the_limit_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(sinks, "DIRECT_SOLVE_LIMIT", 1)
+        k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
+        with pytest.raises(
+            InvalidParametersError, match=r"^support is not closed: 1 -> 2 leaves it$"
+        ):
+            stationary_distribution(k, (0, 1))
+
+    def test_failure_names_size_steps_and_residual(self, monkeypatch):
+        monkeypatch.setattr(sinks, "DIRECT_SOLVE_LIMIT", 1)
+        monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 3)
+        k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {0: 1.0}])
+        with pytest.raises(NumericalFailureError) as info:
+            stationary_distribution(k, (0, 1, 2))
+        message = str(info.value)
+        assert "3-state sink" in message
+        assert "3 steps" in message
+        residual = float(message.rsplit("residual ", 1)[1].rstrip(")"))
+        assert residual > sinks.POWER_TOL
