@@ -54,7 +54,6 @@ from .generators import (
     run_monte_carlo,
     sample_covering_instance,
     sample_radio_instance,
-    trial_rng,
 )
 from .sinks import (
     SinkEquilibrium,
@@ -70,12 +69,10 @@ from .smoothness import (
     SinkWitness,
     SmoothnessCertificate,
     additive_sinking_bound,
-    arithmetic_misalignment,
     best_smoothness,
     better_response_witness,
     bound_report,
     check_smoothness,
-    geometric_misalignment,
     measure_misalignment,
     multiplicative_sinking_bound,
 )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -34,11 +35,6 @@ def philox_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """Counter-based generator for the given seed and spawn path."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one Monte Carlo trial."""
-    return philox_rng(master_seed, trial)
 
 
 def _trial_seed(master_seed: int, trial: int) -> int:
@@ -164,36 +160,41 @@ def sample_covering_estimates(instance: CoveringInstance) -> np.ndarray:
 
 def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     """Welfare sums true values over the union of chosen subsets; each agent's
-    utility sums its own estimates over the same union."""
-    n, m = instance.num_agents, instance.num_regions
+    utility sums its own estimates over the same union.
+
+    Profiles share few distinct unions, so each distinct union is summed once
+    and scattered back to its profiles.  The sums stay ``x[mask].sum()``: an
+    axis reduction over a table of masks adds in another order and moves the
+    last bits.
+    """
     estimates = sample_covering_estimates(instance)
     values = np.asarray(instance.values)
+    m = instance.num_regions
+    counts = tuple(len(opts) for opts in instance.options)
+    total = math.prod(counts)
 
-    option_masks = []
-    for opts in instance.options:
-        masks = np.zeros((len(opts), m), dtype=bool)
+    # Region bits of each profile's union, one byte row per profile; agent
+    # i's option is digit i of the flat index, agent 0 varying fastest.
+    profiles = np.arange(total)
+    unions = np.zeros((total, (m + 7) // 8), dtype=np.uint8)
+    stride = 1
+    for opts, c in zip(instance.options, counts):
+        masks = np.zeros((c, m), dtype=bool)
         for k, subset in enumerate(opts):
             masks[k, list(subset)] = True
-        option_masks.append(masks)
-
-    counts = tuple(len(opts) for opts in instance.options)
-    total = 1
-    for c in counts:
-        total *= c
-
-    welfare = np.zeros(total)
-    utilities = np.zeros((n, total))
-    for flat in range(total):
-        rest = flat
-        union = np.zeros(m, dtype=bool)
-        for i, c in enumerate(counts):
-            union |= option_masks[i][rest % c]
-            rest //= c
-        welfare[flat] = values[union].sum()
-        for i in range(n):
-            utilities[i, flat] = estimates[i][union].sum()
-
-    return NormalFormGame(action_counts=counts, welfare=welfare, utilities=utilities)
+        unions |= np.packbits(masks, axis=1)[profiles // stride % c]
+        stride *= c
+    # Sort the byte rows as opaque keys; np.unique(axis=0) does the same
+    # through a slower structured dtype.
+    keys = unions.view(np.dtype((np.void, unions.shape[1]))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    bits = distinct.view(np.uint8).reshape(len(distinct), -1)
+    covered = np.unpackbits(bits, axis=1, count=m).astype(bool)
+    welfare = np.array([values[mask].sum() for mask in covered])
+    utilities = np.array([[own[mask].sum() for mask in covered] for own in estimates])
+    return NormalFormGame(
+        action_counts=counts, welfare=welfare[inverse], utilities=utilities[:, inverse]
+    )
 
 
 def sample_covering_instance(
@@ -210,21 +211,27 @@ def sample_covering_instance(
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
     rng = philox_rng(seed, 0)
-    options = []
+    draws = []
     for _ in range(num_agents):
         while True:
             masks = rng.integers(0, 2, size=(options_per_agent, num_regions))
             if masks.any():
                 break
-        seen = []
-        for row in masks:
-            subset = tuple(int(r) for r in np.flatnonzero(row))
-            if subset not in seen:
-                seen.append(subset)
-        options.append(tuple(seen))
+        draws.append(masks)
+    drawn = np.stack(draws)
+    # An option repeats when an earlier option of the same agent has the
+    # same region bits; keep first occurrences in draw order.
+    bits = np.packbits(drawn, axis=2)
+    same = (bits[:, :, None, :] == bits[:, None, :, :]).all(axis=3)
+    first = ~np.tril(same, -1).any(axis=2)
+    regions = range(num_regions)
+    options = tuple(
+        tuple(tuple(compress(regions, row)) for row, keep in zip(rows, kept) if keep)
+        for rows, kept in zip(drawn.tolist(), first.tolist())
+    )
     return CoveringInstance(
         values=(float(region_value),) * num_regions,
-        options=tuple(options),
+        options=options,
         bias=float(bias),
         scale=float(scale),
         seed=int(seed),

@@ -309,16 +309,6 @@ def measure_misalignment(game: NormalFormGame) -> MisalignmentReport:
     )
 
 
-def arithmetic_misalignment(game: NormalFormGame) -> MisalignmentReport:
-    """Smallest beta with |U_i(a) - W(a)| <= beta * W(a) everywhere."""
-    return measure_misalignment(game)
-
-
-def geometric_misalignment(game: NormalFormGame) -> MisalignmentReport:
-    """Smallest beta with 1-beta <= U_i(a)/W(a) <= 1/(1-beta) everywhere."""
-    return measure_misalignment(game)
-
-
 def bound_report(game: NormalFormGame, tie_tol: float = 0.0) -> BoundReport:
     """Exact price of sinking compared against both misalignment floors.
 

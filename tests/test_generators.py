@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkeq.errors import InvalidParametersError, ValidationError
 from sinkeq.generators import (
@@ -9,6 +11,7 @@ from sinkeq.generators import (
     CoveringMonteCarloSpec,
     RadioInstance,
     RadioMonteCarloSpec,
+    _trial_seed,
     counterexample_game,
     covering_sinking_bound,
     expected_covering_misalignment,
@@ -17,10 +20,10 @@ from sinkeq.generators import (
     philox_rng,
     radio_sinking_bound,
     run_monte_carlo,
+    sample_covering_estimates,
     sample_covering_instance,
     sample_near_common_game,
     sample_radio_instance,
-    trial_rng,
 )
 from sinkeq.sinks import price_of_sinking
 from sinkeq.smoothness import measure_misalignment
@@ -131,6 +134,125 @@ class TestCoveringGames:
         np.testing.assert_array_equal(
             make_covering_game(clone).utilities, make_covering_game(inst).utilities
         )
+
+
+def reference_covering_tables(instance):
+    """Per-profile loop: OR the chosen options' region masks, then sum the
+    true values and each agent's estimates over that union."""
+    n, m = instance.num_agents, instance.num_regions
+    estimates = sample_covering_estimates(instance)
+    values = np.asarray(instance.values)
+    option_masks = []
+    for opts in instance.options:
+        masks = np.zeros((len(opts), m), dtype=bool)
+        for k, subset in enumerate(opts):
+            masks[k, list(subset)] = True
+        option_masks.append(masks)
+    counts = [len(opts) for opts in instance.options]
+    total = math.prod(counts)
+    welfare = np.zeros(total)
+    utilities = np.zeros((n, total))
+    for flat in range(total):
+        rest = flat
+        union = np.zeros(m, dtype=bool)
+        for i, c in enumerate(counts):
+            union |= option_masks[i][rest % c]
+            rest //= c
+        welfare[flat] = values[union].sum()
+        for i in range(n):
+            utilities[i, flat] = estimates[i][union].sum()
+    return welfare, utilities
+
+
+def reference_covering_options(num_agents, num_regions, seed, options_per_agent=4):
+    """The draws of ``sample_covering_instance``, deduplicated by scanning the
+    list of subsets seen so far."""
+    rng = philox_rng(seed, 0)
+    options = []
+    for _ in range(num_agents):
+        while True:
+            masks = rng.integers(0, 2, size=(options_per_agent, num_regions))
+            if masks.any():
+                break
+        seen = []
+        for row in masks:
+            subset = tuple(int(r) for r in np.flatnonzero(row))
+            if subset not in seen:
+                seen.append(subset)
+        options.append(tuple(seen))
+    return tuple(options)
+
+
+def assert_matches_reference(instance):
+    game = make_covering_game(instance)
+    welfare, utilities = reference_covering_tables(instance)
+    assert game.action_counts == tuple(len(opts) for opts in instance.options)
+    assert np.array_equal(game.welfare, welfare)
+    assert np.array_equal(game.utilities, utilities)
+
+
+@st.composite
+def covering_instances(draw):
+    m = draw(st.integers(1, 70))
+    subsets = st.lists(st.integers(0, m - 1), max_size=6).map(tuple)
+    options = draw(
+        st.lists(st.lists(subsets, min_size=1, max_size=4).map(tuple), min_size=1, max_size=3)
+    )
+    return CoveringInstance(
+        values=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m))),
+        options=tuple(options),
+        bias=draw(st.floats(-1.0, 1.0)),
+        scale=draw(st.floats(0.0, 2.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestCoveringReference:
+    """The covering generators against the per-profile loop and list-scan
+    dedupe they replace.  Tables must match bit for bit: each union's sums
+    must add the same elements in the same order."""
+
+    @pytest.mark.parametrize("master_seed", range(1, 11))
+    def test_benchmark_shaped_tables(self, master_seed):
+        for trial in range(50):
+            seed = _trial_seed(master_seed, trial)
+            assert_matches_reference(sample_covering_instance(4, 8, 0.01, 0.01, seed))
+
+    def test_benchmark_shaped_options(self):
+        for master_seed in range(1, 11):
+            for trial in range(50):
+                seed = _trial_seed(master_seed, trial)
+                instance = sample_covering_instance(4, 8, 0.01, 0.01, seed)
+                assert instance.options == reference_covering_options(4, 8, seed)
+
+    @pytest.mark.parametrize(
+        "values, options",
+        [
+            ((2.0, 0.5, 1.5), (((0, 2), (1,), ()),)),
+            ((1.0,), (((), (0,)), ((0,),), ((),))),
+            # Repeated regions collapse, so agent 0 gets (1, 3) twice.
+            ((0.3, 0.7, 1.1, 0.2), (((1, 1, 3), (3, 1)), ((0, 0), (), (2, 2, 2)))),
+        ],
+        ids=["one-agent", "one-region", "duplicate-regions"],
+    )
+    def test_edge_shapes(self, values, options):
+        assert_matches_reference(
+            CoveringInstance(values, options, bias=0.02, scale=0.3, seed=5)
+        )
+
+    def test_regions_past_one_machine_word(self):
+        instance = sample_covering_instance(3, 70, 0.01, 0.2, seed=8, options_per_agent=5)
+        assert instance.options == reference_covering_options(3, 70, 8, options_per_agent=5)
+        assert_matches_reference(instance)
+        # Options that differ only in regions 63 and up must stay distinct.
+        values = tuple(np.linspace(0.1, 1.0, 72))
+        options = (((64,), (65,), (0, 64, 71)), ((), (63,), (71,)))
+        assert_matches_reference(CoveringInstance(values, options, 0.0, 0.1, seed=2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(covering_instances())
+    def test_random_instances(self, instance):
+        assert_matches_reference(instance)
 
 
 class TestFoldedNormalMisalignment:
@@ -264,8 +386,6 @@ class TestMonteCarlo:
     def test_different_master_seeds_draw_different_games(self):
         # Sinking prices can coincide across seeds (often exactly 1), so
         # compare the sampled games themselves.
-        from sinkeq.generators import _trial_seed
-
         a = make_covering_game(
             sample_covering_instance(2, 3, 0.01, 0.01, _trial_seed(1, 0))
         )
@@ -295,11 +415,11 @@ class TestMonteCarlo:
 
 class TestSeedPlumbing:
     def test_trial_streams_are_stable(self):
-        a = trial_rng(7, 3).uniform(size=4)
-        b = trial_rng(7, 3).uniform(size=4)
+        a = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
+        b = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
         np.testing.assert_array_equal(a, b)
 
     def test_trial_streams_are_distinct(self):
-        a = trial_rng(7, 3).uniform(size=4)
-        b = trial_rng(7, 4).uniform(size=4)
+        a = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
+        b = philox_rng(_trial_seed(7, 4), 0).uniform(size=4)
         assert not np.array_equal(a, b)

@@ -22,12 +22,10 @@ from sinkeq.generators import (
 from sinkeq.sinks import price_of_sinking, sink_components
 from sinkeq.smoothness import (
     additive_sinking_bound,
-    arithmetic_misalignment,
     best_smoothness,
     better_response_witness,
     bound_report,
     check_smoothness,
-    geometric_misalignment,
     measure_misalignment,
     multiplicative_sinking_bound,
 )
@@ -125,14 +123,14 @@ class TestMisalignment:
 
     def test_uniform_inflation(self):
         g = scaled_utilities([1.0, 0.3, 0.3, 2.0], 1.4)
-        report = arithmetic_misalignment(g)
+        report = measure_misalignment(g)
         assert report.beta_arithmetic == pytest.approx(0.4)
         # Ratio bound: 1/(1-beta) = 1.4 gives beta = 1 - 1/1.4.
         assert report.beta_geometric == pytest.approx(1.0 - 1.0 / 1.4)
 
     def test_uniform_deflation(self):
         g = scaled_utilities([1.0, 0.3, 0.3, 2.0], 0.75)
-        report = geometric_misalignment(g)
+        report = measure_misalignment(g)
         assert report.beta_arithmetic == pytest.approx(0.25)
         assert report.beta_geometric == pytest.approx(0.25)
 
