@@ -132,13 +132,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "mu_c": report.mu_c,
             "num_players": report.num_players,
             "singleton_best_response": report.singleton_br,
-            "beta_arithmetic": report.beta_arithmetic,
+            "beta_arithmetic": report.misalignment.beta_arithmetic,
             "bound_arithmetic": report.bound_arithmetic,
             "satisfied_arithmetic": report.satisfied_arithmetic,
             "witness_arithmetic": list(report.misalignment.witness_arithmetic)
             if report.misalignment.witness_arithmetic is not None
             else None,
-            "beta_geometric": report.beta_geometric,
+            "beta_geometric": report.misalignment.beta_geometric,
             "bound_geometric": report.bound_geometric,
             "satisfied_geometric": report.satisfied_geometric,
             "witness_geometric": list(report.misalignment.witness_geometric)

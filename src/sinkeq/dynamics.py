@@ -60,22 +60,22 @@ class TransitionKernel:
 
 
 def _response_mask(
-    game: NormalFormGame, player: int, mode: str, tie_tol: float
+    game: NormalFormGame, player: int, mode: str, tie_tol: float, states
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean ``mask[k, a]``: action k is in the player's response set at a.
+    """Boolean ``mask[k, ...]``: action k is in the player's response set at
+    each of ``states``.
 
-    Also returns the player's current action index per state.
+    Also returns the player's fiber of ``states``, the targets of those
+    actions.
     """
-    s = game.strides[player]
-    digits = game.player_digits(player)
-    base = np.arange(game.num_profiles) - digits * s
+    fiber = game.fiber(player, states)
     table = game.utilities[player]
-    val = np.vstack([table[base + k * s] for k in range(game.action_counts[player])])
+    val = table[fiber]
     if mode == BEST:
         mask = val >= val.max(axis=0) - tie_tol
     else:
-        mask = val >= table
-    return mask, digits
+        mask = val >= table[states]
+    return mask, fiber
 
 
 def best_response_set(
@@ -90,13 +90,8 @@ def best_response_set(
     """
     if tie_tol < 0:
         raise InvalidParametersError("tie_tol must be nonnegative")
-    ja = game.joint(action)
-    s = game.strides[player]
-    c = game.action_counts[player]
-    base = ja.flat - ja.coords[player] * s
-    fiber = game.utilities[player][base + np.arange(c) * s]
-    keep = np.flatnonzero(fiber >= fiber.max() - tie_tol)
-    return ResponseSet(player=player, actions=tuple(int(k) for k in keep))
+    mask, _ = _response_mask(game, player, BEST, tie_tol, game.joint(action).flat)
+    return ResponseSet(player=player, actions=tuple(np.flatnonzero(mask).tolist()))
 
 
 def better_response_set(
@@ -106,13 +101,8 @@ def better_response_set(
 ) -> ResponseSet:
     """Actions weakly improving the player's payoff; always contains the
     current action."""
-    ja = game.joint(action)
-    s = game.strides[player]
-    c = game.action_counts[player]
-    base = ja.flat - ja.coords[player] * s
-    fiber = game.utilities[player][base + np.arange(c) * s]
-    keep = np.flatnonzero(fiber >= fiber[ja.coords[player]])
-    return ResponseSet(player=player, actions=tuple(int(k) for k in keep))
+    mask, _ = _response_mask(game, player, BETTER, 0.0, game.joint(action).flat)
+    return ResponseSet(player=player, actions=tuple(np.flatnonzero(mask).tolist()))
 
 
 def build_kernel(
@@ -138,14 +128,14 @@ def build_kernel(
     # collect shares from several, summed in player order.
     diag = np.zeros(num_states)
     for player in range(n):
-        mask, digits = _response_mask(game, player, mode, tie_tol)
+        mask, fiber = _response_mask(game, player, mode, tie_tol, states)
         share = 1.0 / (n * mask.sum(axis=0))
-        own = (digits, states)
-        diag += np.where(mask[own], share, 0.0)
-        mask[own] = False
-        acts, src = np.nonzero(mask)
+        own = fiber == states
+        diag += np.where((mask & own).any(axis=0), share, 0.0)
+        mask &= ~own
+        src = np.nonzero(mask)[1]
         srcs.append(src)
-        dsts.append(src + (acts - digits[src]) * game.strides[player])
+        dsts.append(fiber[mask])
         probs.append(share[src])
     looped = np.flatnonzero(diag)
     srcs.append(looped)
@@ -180,8 +170,9 @@ def is_singleton_br(
     """
     if tie_tol < 0:
         raise InvalidParametersError("tie_tol must be nonnegative")
+    states = np.arange(game.num_profiles)
     counts = [
-        _response_mask(game, player, BEST, tie_tol)[0].sum(axis=0)
+        _response_mask(game, player, BEST, tie_tol, states)[0].sum(axis=0)
         for player in range(game.num_players)
     ]
     stacked = np.vstack(counts) > 1

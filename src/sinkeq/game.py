@@ -163,31 +163,14 @@ class NormalFormGame:
             return self.index_to_joint(int(action))
         return self.index_to_joint(self.joint_to_index(action))
 
-    def player_digits(self, player: int) -> np.ndarray:
-        """Per-state action index of ``player``, over all flat states."""
+    def fiber(self, player: int, states) -> np.ndarray:
+        """Flat indices ``out[k, ...]``: each of ``states`` (a flat index or
+        an array of them) with ``player``'s action replaced by ``k``."""
         s = self.strides[player]
         c = self.action_counts[player]
-        return (np.arange(self.num_profiles) // s) % c
-
-    def deviation_map(self, player: int, action: int) -> np.ndarray:
-        """Flat-index map sending each state to the same state with
-        ``player``'s coordinate replaced by ``action``."""
-        c = self.action_counts[player]
-        if not 0 <= int(action) < c:
-            raise InvalidActionError(
-                f"player {player}: action {action} outside range [0, {c})"
-            )
-        s = self.strides[player]
-        digits = self.player_digits(player)
-        return np.arange(self.num_profiles) + (int(action) - digits) * s
-
-
-def _per_state_fiber_max(values: np.ndarray, counts: tuple[int, ...], player: int) -> np.ndarray:
-    """Max of ``values`` over ``player``'s own axis, broadcast to all states."""
-    shape = counts[::-1]
-    axis = len(counts) - 1 - player
-    tensor = values.reshape(shape)
-    return np.broadcast_to(tensor.max(axis=axis, keepdims=True), shape).ravel()
+        states = np.asarray(states)
+        base = states - states // s % c * s
+        return base + s * np.arange(c).reshape((c,) + (1,) * states.ndim)
 
 
 def optimal_profile(game: NormalFormGame) -> tuple[JointAction, float]:
@@ -196,25 +179,22 @@ def optimal_profile(game: NormalFormGame) -> tuple[JointAction, float]:
     return game.index_to_joint(flat), float(game.welfare[flat])
 
 
+def _nash_mask(game: NormalFormGame, states) -> np.ndarray:
+    """Whether each of ``states`` gives every player its fiber's best payoff."""
+    mask = np.ones(np.shape(states), dtype=bool)
+    for player, u in enumerate(game.utilities):
+        mask &= u[states] >= u[game.fiber(player, states)].max(axis=0)
+    return mask
+
+
 def is_nash(game: NormalFormGame, action: JointAction | Sequence[int] | int) -> bool:
     """True iff no player gains from any unilateral deviation (exact comparison)."""
-    ja = game.joint(action)
-    for player in range(game.num_players):
-        s = game.strides[player]
-        c = game.action_counts[player]
-        base = ja.flat - ja.coords[player] * s
-        fiber = game.utilities[player][base + np.arange(c) * s]
-        if game.utilities[player][ja.flat] < fiber.max():
-            return False
-    return True
+    return bool(_nash_mask(game, game.joint(action).flat))
 
 
 def enumerate_nash(game: NormalFormGame) -> list[JointAction]:
     """All pure Nash equilibria in flat-index order (possibly empty)."""
-    mask = np.ones(game.num_profiles, dtype=bool)
-    for player in range(game.num_players):
-        u = game.utilities[player]
-        mask &= u == _per_state_fiber_max(u, game.action_counts, player)
+    mask = _nash_mask(game, np.arange(game.num_profiles))
     return [game.index_to_joint(int(f)) for f in np.flatnonzero(mask)]
 
 
@@ -254,6 +234,12 @@ def game_from_dict(obj: object, source: str = "<game>") -> NormalFormGame:
     def fail(field: str, message: str):
         raise SchemaError(f"{source}: {field}: {message}")
 
+    def check_numbers(field: str, row: list):
+        # One C-level pass over the types; bool and str are not numbers here.
+        if not set(map(type, row)) <= {int, float}:
+            k = next(k for k, x in enumerate(row) if type(x) not in (int, float))
+            fail(f"{field}[{k}]", f"expected a number, got {row[k]!r}")
+
     if not isinstance(obj, dict):
         fail("$", f"expected an object, got {type(obj).__name__}")
     unknown = set(obj) - {"action_counts", "welfare", "utilities", "labels"}
@@ -275,6 +261,7 @@ def game_from_dict(obj: object, source: str = "<game>") -> NormalFormGame:
         fail("welfare", "expected a list of numbers")
     if len(welfare) != total:
         fail("welfare", f"expected {total} entries, got {len(welfare)}")
+    check_numbers("welfare", welfare)
 
     utilities = obj.get("utilities")
     if not isinstance(utilities, list) or len(utilities) != len(counts):
@@ -282,6 +269,7 @@ def game_from_dict(obj: object, source: str = "<game>") -> NormalFormGame:
     for i, row in enumerate(utilities):
         if not isinstance(row, list) or len(row) != total:
             fail(f"utilities[{i}]", f"expected {total} entries")
+        check_numbers(f"utilities[{i}]", row)
 
     labels = obj.get("labels")
     if labels is not None:
@@ -298,7 +286,7 @@ def game_from_dict(obj: object, source: str = "<game>") -> NormalFormGame:
             utilities=np.asarray(utilities, dtype=float),
             action_labels=tuple(tuple(row) for row in labels) if labels else None,
         )
-    except (ValidationError, TypeError, ValueError) as exc:
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{source}: {exc}") from exc
 
 

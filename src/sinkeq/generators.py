@@ -29,12 +29,22 @@ from .sinks import price_of_sinking
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
 
 BOUND_TOL = 1e-9
+# Largest joint-action space a generator builds: 16 times the 65,536 states
+# of a 16-agent interference game.
+MAX_PROFILES = 1 << 20
 
 
 def philox_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """Counter-based generator for the given seed and spawn path."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _checked_profiles(total: int) -> int:
+    """``total``, unless the game would exceed ``MAX_PROFILES`` joint actions."""
+    if total > MAX_PROFILES:
+        raise InvalidParametersError(f"game would have more than {MAX_PROFILES} joint actions")
+    return total
 
 
 def _trial_seed(master_seed: int, trial: int) -> int:
@@ -167,23 +177,25 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     axis reduction over a table of masks adds in another order and moves the
     last bits.
     """
+    counts = tuple(len(opts) for opts in instance.options)
+    total = _checked_profiles(math.prod(counts))
     estimates = sample_covering_estimates(instance)
     values = np.asarray(instance.values)
     m = instance.num_regions
-    counts = tuple(len(opts) for opts in instance.options)
-    total = math.prod(counts)
 
-    # Region bits of each profile's union, one byte row per profile; agent
-    # i's option is digit i of the flat index, agent 0 varying fastest.
-    profiles = np.arange(total)
-    unions = np.zeros((total, (m + 7) // 8), dtype=np.uint8)
-    stride = 1
-    for opts, c in zip(instance.options, counts):
+    # Region bits of each profile's union, one byte row per profile, built
+    # on the profile tensor whose axis -2 - i is agent i's option (agent 0
+    # varies fastest in the flat order).
+    width = (m + 7) // 8
+    unions = np.zeros(counts[::-1] + (width,), dtype=np.uint8)
+    for i, (opts, c) in enumerate(zip(instance.options, counts)):
         masks = np.zeros((c, m), dtype=bool)
         for k, subset in enumerate(opts):
             masks[k, list(subset)] = True
-        unions |= np.packbits(masks, axis=1)[profiles // stride % c]
-        stride *= c
+        shape = [1] * unions.ndim
+        shape[-2 - i], shape[-1] = c, width
+        unions |= np.packbits(masks, axis=1).reshape(shape)
+    unions = unions.reshape(total, width)
     # Sort the byte rows as opaque keys; np.unique(axis=0) does the same
     # through a slower structured dtype.
     keys = unions.view(np.dtype((np.void, unions.shape[1]))).ravel()
@@ -357,6 +369,8 @@ def sample_radio_instance(
     """
     if num_agents < 2:
         raise InvalidParametersError("need at least two agents")
+    # The estimates alone take num_agents**3 floats: refuse before drawing them.
+    _checked_profiles(1 << num_agents)
     rng = philox_rng(seed, 0)
     n = num_agents
     if weights is None:
@@ -378,7 +392,7 @@ def make_radio_game(instance: RadioInstance) -> NormalFormGame:
     """Each agent picks one of two channels; welfare totals the interference
     weight avoided by every ordered pair on different channels."""
     n = instance.num_agents
-    total = 1 << n
+    total = _checked_profiles(1 << n)
     states = np.arange(total)
     channels = (states[:, None] >> np.arange(n)[None, :]) & 1
     split = channels[:, :, None] != channels[:, None, :]
@@ -456,9 +470,7 @@ def sample_random_game(
     welfare_range: tuple[float, float] = (0.05, 1.0),
     utility_range: tuple[float, float] = (-1.0, 1.0),
 ) -> NormalFormGame:
-    total = 1
-    for c in action_counts:
-        total *= c
+    total = _checked_profiles(math.prod(action_counts))
     welfare = rng.uniform(*welfare_range, size=total)
     utilities = rng.uniform(*utility_range, size=(len(action_counts), total))
     return NormalFormGame(
@@ -495,9 +507,7 @@ def sample_near_common_game(
     if noise not in ("additive", "multiplicative"):
         raise InvalidParametersError("noise must be 'additive' or 'multiplicative'")
     n = len(action_counts)
-    total = 1
-    for c in action_counts:
-        total *= c
+    total = _checked_profiles(math.prod(action_counts))
     for _ in range(max_attempts):
         welfare = rng.uniform(0.1, 1.0, size=total)
         if noise == "additive":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -74,10 +75,8 @@ class BoundReport:
     mu_c: float
     num_players: int
     singleton_br: bool
-    beta_arithmetic: float | None
     bound_arithmetic: float | None
     satisfied_arithmetic: bool | None
-    beta_geometric: float | None
     bound_geometric: float | None
     satisfied_geometric: bool | None
     misalignment: MisalignmentReport
@@ -96,15 +95,23 @@ class SinkWitness:
     aligned_action: JointAction | None
 
 
+def _deviation_gains(
+    game: NormalFormGame, optimum: JointAction, common_interest: bool
+) -> Iterator[np.ndarray]:
+    """Per player, U_i(a) - U_i(opt_i, rest of a) at every state a."""
+    states = np.arange(game.num_profiles)
+    for player, target in enumerate(optimum.coords):
+        table = game.welfare if common_interest else game.utilities[player]
+        yield table - table[game.fiber(player, states)[target]]
+
+
 def _deviation_totals(
     game: NormalFormGame, optimum: JointAction, common_interest: bool
 ) -> np.ndarray:
     """Per-state sum over players of U_i(a) - U_i(opt_i, rest of a)."""
     total = np.zeros(game.num_profiles)
-    for player in range(game.num_players):
-        table = game.welfare if common_interest else game.utilities[player]
-        dmap = game.deviation_map(player, optimum.coords[player])
-        total += table - table[dmap]
+    for gain in _deviation_gains(game, optimum, common_interest):
+        total += gain
     return total
 
 
@@ -318,17 +325,17 @@ def bound_report(game: NormalFormGame, tie_tol: float = 0.0) -> BoundReport:
     measurement fails, the corresponding satisfied flag is ``None``.
     """
     lam_c, mu_c = best_smoothness(game, common_interest=True)
-    report = measure_misalignment(game)
+    misalignment = measure_misalignment(game)
     singleton, _ = is_singleton_br(game, tie_tol)
     pos, worst = price_of_sinking(game, mode=BEST, tie_tol=tie_tol)
     n = game.num_players
 
     bound_arith = None
-    if report.beta_arithmetic is not None:
-        bound_arith = additive_sinking_bound(lam_c, mu_c, n, report.beta_arithmetic)
+    if misalignment.beta_arithmetic is not None:
+        bound_arith = additive_sinking_bound(lam_c, mu_c, n, misalignment.beta_arithmetic)
     bound_geo = None
-    if report.beta_geometric is not None:
-        bound_geo = multiplicative_sinking_bound(lam_c, mu_c, n, report.beta_geometric)
+    if misalignment.beta_geometric is not None:
+        bound_geo = multiplicative_sinking_bound(lam_c, mu_c, n, misalignment.beta_geometric)
 
     satisfied_arith = None
     if singleton and bound_arith is not None:
@@ -343,13 +350,11 @@ def bound_report(game: NormalFormGame, tie_tol: float = 0.0) -> BoundReport:
         mu_c=mu_c,
         num_players=n,
         singleton_br=singleton,
-        beta_arithmetic=report.beta_arithmetic,
         bound_arithmetic=bound_arith,
         satisfied_arithmetic=satisfied_arith,
-        beta_geometric=report.beta_geometric,
         bound_geometric=bound_geo,
         satisfied_geometric=satisfied_geo,
-        misalignment=report,
+        misalignment=misalignment,
         worst_sink=worst,
     )
 
@@ -376,9 +381,10 @@ def better_response_witness(
     threshold = ratio * wopt
 
     kernel = build_kernel(game, mode=BETTER)
-    dev_maps = [
-        game.deviation_map(i, optimum.coords[i]) for i in range(game.num_players)
-    ]
+    # States where no player gains by switching to its optimal coordinate.
+    aligned_states = np.all(
+        [gain >= 0.0 for gain in _deviation_gains(game, optimum, False)], axis=0
+    )
     witnesses = []
     for support in sink_components(kernel):
         values = game.welfare[list(support)]
@@ -387,17 +393,8 @@ def better_response_witness(
         best_welfare = float(values[best_pos])
         meets = best_welfare >= threshold - SLACK_TOL
 
-        aligned = None
-        for state in support:
-            ok = True
-            for player in range(game.num_players):
-                table = game.utilities[player]
-                if table[state] - table[dev_maps[player][state]] < 0.0:
-                    ok = False
-                    break
-            if ok:
-                aligned = game.index_to_joint(state)
-                break
+        hits = np.flatnonzero(aligned_states[list(support)])
+        aligned = game.index_to_joint(support[hits[0]]) if hits.size else None
 
         if not meets:
             raise WitnessNotFoundError(

@@ -78,6 +78,42 @@ class TestExitCodes:
         assert code == 1
         assert "utilities" in err
 
+    @pytest.mark.parametrize(
+        "welfare,utilities,message",
+        [
+            ("[true, 0.5]", "[0.1, 0.7]", "welfare[0]: expected a number, got True"),
+            ("[0.1, 0.5]", '[0.1, "0.7"]', "utilities[0][1]: expected a number, got '0.7'"),
+        ],
+    )
+    def test_non_numeric_entry_is_exit_one(self, capsys, tmp_path, welfare, utilities, message):
+        path = tmp_path / "typed.json"
+        path.write_text(
+            f'{{"action_counts": [2], "welfare": {welfare}, "utilities": [{utilities}]}}'
+        )
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_integer_beyond_float_range_is_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"action_counts": [1], "welfare": [1{"0" * 400}], "utilities": [[0]]}}')
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radio-mc", "--n", "62", "--alpha", "0.8", "--trials", "1"],
+            ["covering-mc", "--n", "16", "--regions", "8", "--trials", "1"],
+        ],
+    )
+    def test_oversized_generated_game_is_exit_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 1048576 joint actions" in err
+
     def test_json_parse_error_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}")

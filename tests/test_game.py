@@ -92,8 +92,10 @@ class TestIndexing:
 
     def test_deviation_map(self):
         g = two_by_two_common()
-        np.testing.assert_array_equal(g.deviation_map(0, 1), [1, 1, 3, 3])
-        np.testing.assert_array_equal(g.deviation_map(1, 0), [0, 1, 0, 1])
+        states = np.arange(g.num_profiles)
+        np.testing.assert_array_equal(g.fiber(0, states)[1], [1, 1, 3, 3])
+        np.testing.assert_array_equal(g.fiber(1, states)[0], [0, 1, 0, 1])
+        np.testing.assert_array_equal(g.fiber(1, 3), [1, 3])
 
 
 class TestValidation:

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from sinkeq.errors import InvalidParametersError, ValidationError
 from sinkeq.generators import (
+    MAX_PROFILES,
     CoveringInstance,
     CoveringMonteCarloSpec,
     RadioInstance,
     RadioMonteCarloSpec,
+    _checked_profiles,
     _trial_seed,
     counterexample_game,
     covering_sinking_bound,
@@ -24,6 +26,7 @@ from sinkeq.generators import (
     sample_covering_instance,
     sample_near_common_game,
     sample_radio_instance,
+    sample_random_game,
 )
 from sinkeq.sinks import price_of_sinking
 from sinkeq.smoothness import measure_misalignment
@@ -364,6 +367,30 @@ class TestNearCommonSampler:
             ratio = g.utilities[i] / g.welfare
             assert np.all(ratio >= 0.95 - 1e-12)
             assert np.all(ratio <= 1 / 0.95 + 1e-12)
+
+
+class TestSizeLimit:
+    # Every size here is refused before any table is allocated.
+    def test_limit_is_inclusive(self):
+        assert _checked_profiles(MAX_PROFILES) == MAX_PROFILES
+        with pytest.raises(InvalidParametersError, match="more than 1048576 joint actions"):
+            _checked_profiles(MAX_PROFILES + 1)
+
+    def test_radio_games_are_refused(self):
+        with pytest.raises(InvalidParametersError, match="joint actions"):
+            sample_radio_instance(62, 0.8, 1)
+        instance = RadioInstance(np.zeros((62, 62)), 1.0, np.zeros((62, 62, 62)))
+        with pytest.raises(InvalidParametersError, match="joint actions"):
+            make_radio_game(instance)
+
+    def test_covering_games_are_refused(self):
+        instance = sample_covering_instance(16, 8, 0.01, 0.01, 1)
+        with pytest.raises(InvalidParametersError, match="joint actions"):
+            make_covering_game(instance)
+
+    def test_random_games_are_refused(self):
+        with pytest.raises(InvalidParametersError, match="joint actions"):
+            sample_random_game(philox_rng(1, 0), (2,) * 62)
 
 
 class TestMonteCarlo:

@@ -26,25 +26,50 @@ from sinkeq.generators import (
 from sinkeq.sinks import sink_components, strongly_connected_components
 
 
-def reference_rows(game, mode, tie_tol):
+def reference_sets(game, mode, tie_tol):
+    """``sets[a][player]``: the response set at state a and the flat index of
+    each of the player's actions there, from a plain loop over coordinates."""
+    sets = []
+    for a in range(game.num_profiles):
+        coords = game.index_to_joint(a).coords
+        per_player = []
+        for player, table in enumerate(game.utilities):
+            targets = [
+                game.joint_to_index(coords[:player] + (k,) + coords[player + 1:])
+                for k in range(game.action_counts[player])
+            ]
+            values = [table[t] for t in targets]
+            floor = max(values) - tie_tol if mode == BEST else table[a]
+            acts = tuple(k for k, v in enumerate(values) if v >= floor)
+            per_player.append((acts, targets))
+        sets.append(per_player)
+    return sets
+
+
+def reference_rows(sets):
     """Row-by-row dict accumulation: each player adds ``1 / (n * |set|)`` to
     every target in its response set, in player order."""
-    n = game.num_players
     rows = []
-    for a in range(game.num_profiles):
-        ja = game.index_to_joint(a)
+    for per_player in sets:
         acc = {}
-        for player in range(n):
-            if mode == BEST:
-                acts = best_response_set(game, player, a, tie_tol).actions
-            else:
-                acts = better_response_set(game, player, a).actions
-            share = 1.0 / (n * len(acts))
+        for acts, targets in per_player:
+            share = 1.0 / (len(per_player) * len(acts))
             for k in acts:
-                target = a + (k - ja.coords[player]) * game.strides[player]
-                acc[target] = acc.get(target, 0.0) + share
+                acc[targets[k]] = acc.get(targets[k], 0.0) + share
         rows.append(tuple(sorted(acc.items())))
     return rows
+
+
+def library_sets(game, mode, tie_tol):
+    return [
+        [
+            best_response_set(game, player, a, tie_tol).actions
+            if mode == BEST
+            else better_response_set(game, player, a).actions
+            for player in range(game.num_players)
+        ]
+        for a in range(game.num_profiles)
+    ]
 
 
 def corpus():
@@ -65,9 +90,12 @@ CASES = [(mode, tie_tol) for mode in (BEST, BETTER) for tie_tol in (0.0, 0.5)]
 @pytest.mark.parametrize("mode,tie_tol", CASES)
 def test_kernel_equals_reference_exactly(mode, tie_tol):
     for game in GAMES:
+        sets = reference_sets(game, mode, tie_tol)
         kernel = build_kernel(game, mode, tie_tol)
         rows = [kernel.row(s) for s in range(kernel.num_states)]
-        assert rows == reference_rows(game, mode, tie_tol)
+        assert rows == reference_rows(sets)
+        expected = [[acts for acts, _ in per_player] for per_player in sets]
+        assert library_sets(game, mode, tie_tol) == expected
 
 
 @pytest.mark.parametrize("mode,tie_tol", CASES)
@@ -109,10 +137,8 @@ def test_csr_invariants(game, case):
     assert np.all(np.diff(indices)[same_row] > 0)
     row_sums = np.bincount(src, weights=probs, minlength=kernel.num_states)
     assert np.all(np.abs(row_sums - 1.0) <= 1e-12)
-    changed = sum(
-        game.player_digits(i)[src] != game.player_digits(i)[indices]
-        for i in range(game.num_players)
-    )
+    coords = np.array([game.index_to_joint(a).coords for a in range(kernel.num_states)])
+    changed = (coords[src] != coords[indices]).sum(axis=1)
     assert np.all(changed <= 1)
     if mode == BETTER:
         assert np.all(np.isin(np.arange(kernel.num_states), indices[src == indices]))

@@ -48,8 +48,10 @@ class TestCheckSmoothness:
         opt, wopt = optimal_profile(g)
         deviation = np.zeros(g.num_profiles)
         for i in range(g.num_players):
-            dmap = g.deviation_map(i, opt.coords[i])
-            deviation += g.utilities[i] - g.utilities[i][dmap]
+            for a in range(g.num_profiles):
+                coords = list(g.index_to_joint(a).coords)
+                coords[i] = opt.coords[i]
+                deviation[a] += g.utilities[i][a] - g.utilities[i][g.joint_to_index(coords)]
         positive = g.welfare > 0
         mu = max(1.0, float(np.max(deviation[positive] / g.welfare[positive])))
         assert check_smoothness(g, 0.0, mu).valid
@@ -183,7 +185,7 @@ class TestBoundReport:
         g = NormalFormGame((3, 3), w, np.vstack([w, w]))
         report = bound_report(g)
         ratio = report.lambda_c / report.mu_c
-        assert report.beta_arithmetic == 0.0
+        assert report.misalignment.beta_arithmetic == 0.0
         assert report.bound_arithmetic == pytest.approx(ratio)
         assert report.bound_geometric == pytest.approx(ratio)
 
@@ -198,7 +200,7 @@ class TestBoundReport:
         assert report.satisfied_geometric is True
         assert report.bound_arithmetic == pytest.approx(
             additive_sinking_bound(
-                report.lambda_c, report.mu_c, 3, report.beta_arithmetic
+                report.lambda_c, report.mu_c, 3, report.misalignment.beta_arithmetic
             )
         )
 
