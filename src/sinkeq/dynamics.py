@@ -22,8 +22,6 @@ from .game import JointAction, NormalFormGame
 BEST = "best"
 BETTER = "better"
 
-ROW_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ResponseSet:

@@ -16,7 +16,6 @@ from .errors import (
 from .game import NormalFormGame, optimal_profile
 
 STATIONARY_TOL = 1e-10
-DIRECT_SOLVE_LIMIT = 2000
 POWER_MAX_STEPS = 10**6
 POWER_TOL = 1e-12
 
@@ -109,7 +108,8 @@ def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     return sinks
 
 
-# Local (row, col, prob) entries of a sink's transition matrix.
+# A sink's transition matrix on local indices, row after row: each row's
+# entry count, then every entry's column and probability.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -120,7 +120,6 @@ def _support_triples(kernel: TransitionKernel, support: tuple[int, ...]) -> Trip
     rows = np.asarray(support)
     starts = kernel.indptr[rows]
     lengths = kernel.indptr[rows + 1] - starts
-    local_row = np.repeat(np.arange(k), lengths)
     # CSR positions of every entry in the support's rows, row after row.
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     edge = np.arange(offsets.size) + offsets
@@ -130,16 +129,16 @@ def _support_triples(kernel: TransitionKernel, support: tuple[int, ...]) -> Trip
     if leaving.size:
         first = leaving[0]
         raise InvalidParametersError(
-            f"support is not closed: {support[local_row[first]]} -> "
+            f"support is not closed: {np.repeat(rows, lengths)[first]} -> "
             f"{targets[first]} leaves it"
         )
-    return local_row, cols, kernel.probs[edge]
+    return lengths, cols, kernel.probs[edge]
 
 
 def _left_product(pi: np.ndarray, triples: Triples) -> np.ndarray:
     """``pi @ P`` for the sparse matrix P given by its entries."""
-    row, col, prob = triples
-    return np.bincount(col, weights=pi[row] * prob, minlength=pi.size)
+    lengths, col, prob = triples
+    return np.bincount(col, weights=np.repeat(pi, lengths) * prob, minlength=pi.size)
 
 
 def _residual(pi: np.ndarray, triples: Triples) -> float:
@@ -147,14 +146,18 @@ def _residual(pi: np.ndarray, triples: Triples) -> float:
 
 
 def _power_iteration(triples: Triples, k: int) -> np.ndarray:
-    # Lazy chain (P+I)/2 shares the stationary vector and is aperiodic.
+    lengths, col, _ = triples
+    # Each row holds at most one diagonal entry (columns strictly increase).
+    # Without a self-loop on every row P may be periodic, so step with the
+    # lazy chain (P+I)/2, which shares its stationary vector.
+    lazy = np.count_nonzero(np.repeat(np.arange(k), lengths) == col) < k
     pi = np.full(k, 1.0 / k)
     for _ in range(POWER_MAX_STEPS):
-        nxt = 0.5 * (pi + _left_product(pi, triples))
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= POWER_TOL:
-            return nxt
-        pi = nxt
+        product = _left_product(pi, triples)
+        if np.max(np.abs(product - pi)) <= POWER_TOL:
+            return pi
+        pi = 0.5 * (pi + product) if lazy else product
+        pi /= pi.sum()
     raise NumericalFailureError(
         f"power iteration on a {k}-state sink did not converge in "
         f"{POWER_MAX_STEPS} steps (residual {_residual(pi, triples):.3e})"
@@ -166,36 +169,27 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Unique stationary vector of the chain restricted to a sink component.
 
-    Supports of at most DIRECT_SOLVE_LIMIT states solve the balance equations
-    directly, densely, with one row replaced by the normalization constraint.
-    Larger supports run lazy power iteration on the sink's sparse CSR rows,
-    so no k-by-k matrix is built.  On both paths the residual
-    ``max |pi P - pi|`` is certified on those same sparse rows.
+    Runs power iteration on the sink's sparse CSR rows, so no k-by-k matrix
+    is built.  Every state of a response-chain sink with two or more states
+    has a self-loop: in better mode the current action is always a better
+    response, and in best mode a state is entered by a player moving to a
+    best response, which stays a best response at the new state.  With a
+    positive diagonal P is aperiodic, so the iteration steps with P itself;
+    a chain lacking some self-loop steps with the lazy ``(P + I) / 2``.  It
+    stops once ``max |pi P - pi| <= POWER_TOL``, read from the product that
+    also makes the next step, and the residual of the normalized vector is
+    then certified against STATIONARY_TOL on the same rows.  The products
+    are ordered ``np.bincount`` sums with no BLAS call, so the bits do not
+    depend on the BLAS library or its thread count.
     """
     support = tuple(sorted(int(s) for s in support))
     if not support:
         raise InvalidParametersError("support must be nonempty")
     triples = _support_triples(kernel, support)
-    k = len(support)
-    if k == 1:
+    if len(support) == 1:
         return np.array([1.0])
 
-    if k <= DIRECT_SOLVE_LIMIT:
-        row, col, prob = triples
-        # (P - I) transposed, so that system @ pi = 0.
-        system = np.zeros((k, k))
-        system[col, row] = prob
-        system[np.diag_indices(k)] -= 1.0
-        system[-1, :] = 1.0
-        rhs = np.zeros(k)
-        rhs[-1] = 1.0
-        try:
-            pi = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"stationary solve failed: {exc}") from exc
-    else:
-        pi = _power_iteration(triples, k)
-
+    pi = _power_iteration(triples, len(support))
     total = pi.sum()
     if not np.isfinite(total) or total <= 0:
         raise NumericalFailureError("stationary solve produced a non-distribution")

@@ -92,7 +92,7 @@ class SinkWitness:
     welfare: float
     threshold: float
     meets_threshold: bool
-    aligned_action: JointAction | None
+    aligned_action: JointAction
 
 
 def _deviation_gains(
@@ -366,7 +366,7 @@ def better_response_witness(
     welfare floor ``(lam/mu) * W(opt)``.
 
     Also reports a support action whose unilateral switches to the optimal
-    profile are all non-improving, when one exists.  Raises
+    profile are all non-improving.  Raises
     WitnessNotFoundError if some sink misses the welfare floor, which would
     contradict the certificate.
     """
@@ -393,8 +393,11 @@ def better_response_witness(
         best_welfare = float(values[best_pos])
         meets = best_welfare >= threshold - SLACK_TOL
 
+        # Never empty: a player who gains by switching to its optimal
+        # coordinate may make that switch, so the sink holds the switched
+        # state too, and repeated switches end at an aligned state.
         hits = np.flatnonzero(aligned_states[list(support)])
-        aligned = game.index_to_joint(support[hits[0]]) if hits.size else None
+        aligned = game.index_to_joint(support[hits[0]])
 
         if not meets:
             raise WitnessNotFoundError(

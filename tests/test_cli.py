@@ -240,3 +240,38 @@ class TestImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestDeterminism:
+    def test_best_mode_report_ignores_blas_threads(self, tmp_path):
+        # The first and fourth no-Nash (6, 6, 6, 10) games of seed 1 have
+        # best-mode sinks of 966 and 957 states; a dense LAPACK solve of
+        # them printed different last digits with one and two threads.
+        from sinkeq.game import enumerate_nash
+        from sinkeq.generators import philox_rng, sample_random_game
+
+        rng = philox_rng(1, 0)
+        games = []
+        while len(games) < 4:
+            game = sample_random_game(rng, (6, 6, 6, 10))
+            if not enumerate_nash(game):
+                games.append(game)
+        paths = [write_game(tmp_path, g, f"g{i}.json") for i, g in enumerate(games)]
+        code = (
+            "from sinkeq.cli import main\n"
+            f"for path in {[paths[0], paths[3]]!r}:\n"
+            "    assert main(['analyze', '--mode', 'best', '--input', path]) == 0\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=str(Path(sinkeq.__file__).parents[1]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]

@@ -221,6 +221,29 @@ class TestJson:
         np.testing.assert_array_equal(clone.utilities, g.utilities)
         assert clone.action_labels == g.action_labels
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_of_any_game(self, data):
+        counts = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        total = int(np.prod(counts))
+
+        def table(**bounds):
+            return st.lists(st.floats(**bounds), min_size=total, max_size=total)
+
+        welfare = data.draw(table(min_value=0.0, max_value=1e300))
+        utilities = [
+            data.draw(table(allow_nan=False, allow_infinity=False)) for _ in counts
+        ]
+        labels = data.draw(
+            st.none() | st.tuples(*(st.lists(st.text(), min_size=c, max_size=c) for c in counts))
+        )
+        g = NormalFormGame(counts, welfare, utilities, labels)
+        clone = game_from_dict(game_to_dict(g))
+        assert clone.action_counts == g.action_counts
+        np.testing.assert_array_equal(clone.welfare, g.welfare)
+        np.testing.assert_array_equal(clone.utilities, g.utilities)
+        assert clone.action_labels == g.action_labels
+
     def test_schema_diagnostics_name_the_field(self):
         with pytest.raises(SchemaError, match="welfare"):
             game_from_dict({"action_counts": [2], "welfare": [1.0], "utilities": [[0.0, 1.0]]})

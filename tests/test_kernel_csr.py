@@ -142,3 +142,17 @@ def test_csr_invariants(game, case):
     assert np.all(changed <= 1)
     if mode == BETTER:
         assert np.all(np.isin(np.arange(kernel.num_states), indices[src == indices]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(games(), st.sampled_from(CASES))
+def test_every_state_of_a_multi_state_sink_has_a_self_loop(game, case):
+    # The stationary solver iterates P itself, not the lazy (P+I)/2, when
+    # this holds: a positive diagonal makes the sink's chain aperiodic.
+    kernel = build_kernel(game, *case)
+    src = np.repeat(np.arange(kernel.num_states), np.diff(kernel.indptr))
+    looped = np.zeros(kernel.num_states, dtype=bool)
+    looped[src[src == kernel.indices]] = True
+    for support in sink_components(kernel):
+        if len(support) > 1:
+            assert looped[list(support)].all()

@@ -21,7 +21,6 @@ from sinkeq.generators import (
     sample_random_game,
 )
 from sinkeq.sinks import (
-    DIRECT_SOLVE_LIMIT,
     STATIONARY_TOL,
     price_of_sinking,
     sink_components,
@@ -110,6 +109,14 @@ class TestStationary:
         k = hand_kernel([{1: 1.0}, {2: 1.0}, {3: 1.0}, {0: 1.0}])
         np.testing.assert_allclose(
             stationary_distribution(k, (0, 1, 2, 3)), [0.25] * 4
+        )
+
+    def test_periodic_chain_takes_the_lazy_step(self):
+        # No self-loops and period 2: from the uniform start, iterating P
+        # alone would swap mass between {0, 2} and {1} forever.
+        k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {1: 1.0}])
+        np.testing.assert_allclose(
+            stationary_distribution(k, (0, 1, 2)), [0.25, 0.5, 0.25], rtol=0, atol=1e-12
         )
 
     def test_open_support_is_rejected(self):
@@ -259,15 +266,17 @@ def dense_solve(matrix):
 
 
 def dense_power_iteration(matrix):
-    """The lazy chain (P+I)/2 iterated with dense products, stopped on the
-    step difference at POWER_TOL."""
+    """The solver's iteration with dense products: P itself when every state
+    has a self-loop, else the lazy chain (P+I)/2, stopped once
+    max |pi P - pi| <= POWER_TOL."""
+    lazy = not np.all(np.diag(matrix) > 0.0)
     pi = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
     for _ in range(sinks.POWER_MAX_STEPS):
-        nxt = 0.5 * (pi + pi @ matrix)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= sinks.POWER_TOL:
-            return nxt / nxt.sum()
-        pi = nxt
+        product = pi @ matrix
+        if np.max(np.abs(product - pi)) <= sinks.POWER_TOL:
+            return pi / pi.sum()
+        pi = 0.5 * (pi + product) if lazy else product
+        pi = pi / pi.sum()
     pytest.fail("dense power iteration did not converge")
 
 
@@ -285,23 +294,22 @@ def power_corpus():
 @pytest.fixture(scope="module")
 def large_sink():
     """The first (6, 6, 6, 10) game of seed 1 with no pure Nash equilibrium;
-    its better-response chain has one sink above DIRECT_SOLVE_LIMIT."""
+    its better-response chain has one sink of more than 2000 states."""
     rng = philox_rng(1, 0)
     game = sample_random_game(rng, (6, 6, 6, 10))
     while enumerate_nash(game):
         game = sample_random_game(rng, (6, 6, 6, 10))
     kernel = build_kernel(game, BETTER)
     (support,) = sink_components(kernel)
-    assert len(support) > DIRECT_SOLVE_LIMIT
+    assert len(support) > 2000
     return kernel, support
 
 
 class TestPowerPath:
-    """The power-iteration path, which only sinks above DIRECT_SOLVE_LIMIT
-    states take, against dense references."""
+    """The sparse power iteration, which every sink of two or more states
+    takes, against dense references."""
 
-    def test_matches_dense_references(self, monkeypatch):
-        monkeypatch.setattr(sinks, "DIRECT_SOLVE_LIMIT", 1)
+    def test_matches_dense_references(self):
         checked = set()
         for game in power_corpus():
             for mode in (BEST, BETTER):
@@ -343,8 +351,7 @@ class TestPowerPath:
             tracemalloc.stop()
         assert peak < k * k * 8 / 10
 
-    def test_open_support_above_the_limit_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(sinks, "DIRECT_SOLVE_LIMIT", 1)
+    def test_open_support_above_the_limit_is_rejected(self):
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
         with pytest.raises(
             InvalidParametersError, match=r"^support is not closed: 1 -> 2 leaves it$"
@@ -352,7 +359,6 @@ class TestPowerPath:
             stationary_distribution(k, (0, 1))
 
     def test_failure_names_size_steps_and_residual(self, monkeypatch):
-        monkeypatch.setattr(sinks, "DIRECT_SOLVE_LIMIT", 1)
         monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 3)
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {0: 1.0}])
         with pytest.raises(NumericalFailureError) as info:
