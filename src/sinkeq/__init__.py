@@ -61,7 +61,6 @@ from .sinks import (
     sink_components,
     sink_equilibria,
     stationary_distribution,
-    strongly_connected_components,
 )
 from .smoothness import (
     BoundReport,

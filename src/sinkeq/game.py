@@ -292,17 +292,21 @@ def game_from_dict(obj: object, source: str = "<game>") -> NormalFormGame:
 
 def load_game(source: str | IO[str]) -> NormalFormGame:
     """Load a game from a JSON file path or open text stream."""
-    if isinstance(source, str):
-        name = source
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        name = getattr(source, "name", "<stream>")
-        text = source.read()
+    name = source if isinstance(source, str) else getattr(source, "name", "<stream>")
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{name}: byte {exc.start}: not UTF-8 text") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{name}: JSON nested too deeply") from exc
     return game_from_dict(obj, source=name)

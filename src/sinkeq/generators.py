@@ -105,6 +105,11 @@ def counterexample_game(lam: float, mu: float) -> NormalFormGame:
 # Covering games
 # ---------------------------------------------------------------------------
 
+class _SortedOptions(tuple):
+    """Per-agent options whose subsets are already tuples of distinct ints
+    in increasing order, which ``CoveringInstance`` then keeps as given."""
+
+
 @dataclass(frozen=True)
 class CoveringInstance:
     """A region-covering problem with noisy per-agent value estimates.
@@ -131,13 +136,15 @@ class CoveringInstance:
         if not self.options:
             raise ValidationError("need at least one agent")
         m = len(self.values)
+        canonical = type(self.options) is _SortedOptions
         norm = []
         for i, opts in enumerate(self.options):
             if not opts:
                 raise ValidationError(f"agent {i} has no coverage options")
             rows = []
             for subset in opts:
-                subset = tuple(sorted(set(int(r) for r in subset)))
+                if not canonical:
+                    subset = tuple(sorted(set(int(r) for r in subset)))
                 if subset and not 0 <= subset[0] <= subset[-1] < m:
                     raise ValidationError(
                         f"agent {i}: option {subset} has regions outside [0, {m})"
@@ -237,7 +244,7 @@ def sample_covering_instance(
     same = (bits[:, :, None, :] == bits[:, None, :, :]).all(axis=3)
     first = ~np.tril(same, -1).any(axis=2)
     regions = range(num_regions)
-    options = tuple(
+    options = _SortedOptions(
         tuple(tuple(compress(regions, row)) for row, keep in zip(rows, kept) if keep)
         for rows, kept in zip(drawn.tolist(), first.tolist())
     )

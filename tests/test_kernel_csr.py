@@ -1,20 +1,24 @@
 """The CSR kernel against the per-state reference construction, and the
 sink detection against networkx."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sinkeq.sinks as sinks
 from sinkeq.dynamics import (
     BEST,
     BETTER,
+    TransitionKernel,
     best_response_set,
     better_response_set,
     build_kernel,
 )
-from sinkeq.game import NormalFormGame
+from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
+    _trial_seed,
     make_covering_game,
     make_radio_game,
     philox_rng,
@@ -23,7 +27,7 @@ from sinkeq.generators import (
     sample_radio_instance,
     sample_random_game,
 )
-from sinkeq.sinks import sink_components, strongly_connected_components
+from sinkeq.sinks import _tarjan, sink_components
 
 
 def reference_sets(game, mode, tie_tol):
@@ -98,18 +102,141 @@ def test_kernel_equals_reference_exactly(mode, tie_tol):
         assert library_sets(game, mode, tie_tol) == expected
 
 
+def networkx_graph(kernel):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(kernel.num_states))
+    graph.add_edges_from((src, dst) for src, dst, _ in kernel.edges())
+    return graph
+
+
+def networkx_sinks(kernel):
+    return sorted(tuple(sorted(c)) for c in nx.attracting_components(networkx_graph(kernel)))
+
+
+def count_tarjan_calls(monkeypatch):
+    calls = []
+
+    def counted(kernel):
+        calls.append(kernel.num_states)
+        return _tarjan(kernel)
+
+    monkeypatch.setattr(sinks, "_tarjan", counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode,tie_tol", CASES)
-def test_components_match_networkx(mode, tie_tol):
-    nx = pytest.importorskip("networkx")
+def test_components_match_networkx(mode, tie_tol, monkeypatch):
     for game in GAMES:
         kernel = build_kernel(game, mode, tie_tol)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(kernel.num_states))
-        graph.add_edges_from((src, dst) for src, dst, _ in kernel.edges())
+        graph = networkx_graph(kernel)
         sccs = {tuple(sorted(c)) for c in nx.strongly_connected_components(graph)}
-        sinks = sorted(tuple(sorted(c)) for c in nx.attracting_components(graph))
-        assert set(strongly_connected_components(kernel)) == sccs
-        assert sink_components(kernel) == sinks
+        expected = sorted(tuple(sorted(c)) for c in nx.attracting_components(graph))
+        assert set(_tarjan(kernel)[0]) == sccs
+        assert sink_components(kernel) == expected
+        # With no sweeps to spend, every kernel takes the Tarjan fallback.
+        with monkeypatch.context() as patch:
+            patch.setattr(sinks, "_SWEEP_BUDGET", 0)
+            calls = count_tarjan_calls(patch)
+            assert sink_components(kernel) == expected
+            assert calls == [kernel.num_states]
+
+
+def staircase_game(m):
+    """Two players with m actions each: the row player's best response to
+    column b is b + 1 (capped at m - 1), the column player's best response
+    to row a is a.  Best responses climb one step at a time from (0, 0) to
+    the Nash equilibrium (m - 1, m - 1), a path of 2m - 2 moves."""
+    a, b = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
+    row = (a == np.minimum(b + 1, m - 1)).astype(float).ravel()
+    col = (b == a).astype(float).ravel()
+    return NormalFormGame((m, m), row + col, np.vstack([row, col]))
+
+
+def test_long_staircase_takes_the_tarjan_fallback(monkeypatch):
+    # 4,096 states whose colors need about 2 * 64 sweeps, beyond the budget.
+    kernel = build_kernel(staircase_game(64), BEST)
+    calls = count_tarjan_calls(monkeypatch)
+    found = sink_components(kernel)
+    assert calls == [kernel.num_states]
+    assert found == networkx_sinks(kernel)
+    assert (63 + 63 * 64,) in found
+
+
+@st.composite
+def chains(draw):
+    """Hand-built kernels: a run of blocks in topological order, each block
+    a cycle (a single state may lack its self-loop when it has an exit),
+    with edges from a block to later ones, and the states relabeled by a
+    random permutation.  Runs of single states make long paths; blocks with
+    no exit are sinks, the others transient SCCs."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=40))
+    starts = np.cumsum([0] + sizes).tolist()
+    blocks = [list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+    rows = [set() for _ in range(starts[-1])]
+    for b, block in enumerate(blocks):
+        later = list(range(b + 1, len(blocks)))
+        exits = draw(st.lists(st.sampled_from(later), max_size=3)) if later else []
+        if later and draw(st.booleans()):
+            exits.append(b + 1)  # continue a path
+        for target in exits:
+            rows[draw(st.sampled_from(block))].add(draw(st.sampled_from(blocks[target])))
+        if len(block) > 1 or not exits or draw(st.booleans()):
+            for i, state in enumerate(block):
+                rows[state].add(block[(i + 1) % len(block)])
+    perm = draw(st.permutations(range(len(rows))))
+    relabeled = [None] * len(rows)
+    for state, row in enumerate(rows):
+        relabeled[perm[state]] = sorted(perm[t] for t in row)
+    return TransitionKernel(
+        num_states=len(rows),
+        num_players=1,
+        mode=BEST,
+        tie_tol=0.0,
+        indptr=np.cumsum([0] + [len(r) for r in relabeled]),
+        indices=np.array([t for r in relabeled for t in r], dtype=np.int64),
+        probs=np.concatenate([np.full(len(r), 1.0 / len(r)) for r in relabeled]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains())
+def test_coloring_and_tarjan_agree_with_networkx(kernel):
+    expected = networkx_sinks(kernel)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sinks, "_SWEEP_BUDGET", 10**6)
+        colored = sinks._colored_sinks(kernel)
+    assert sorted(colored) == expected
+    assert sorted(sinks._tarjan_sinks(kernel)) == expected
+    assert sink_components(kernel) == expected
+
+
+def benchmark_pool_kernels():
+    """The response kernels that the benchmark's three workloads analyze,
+    on seeds 1 and 1009."""
+    for seed in (1, 1009):
+        for i in range(15):
+            game = make_radio_game(sample_radio_instance(12, 0.8, seed * 15 + i))
+            yield build_kernel(game, BEST)
+        rng = philox_rng(seed, 0)
+        found = 0
+        while found < 10:
+            game = sample_random_game(rng, (6, 6, 6, 10))
+            if enumerate_nash(game):
+                continue
+            found += 1
+            yield build_kernel(game, BETTER)
+            yield build_kernel(game, BEST)
+        for master in range(seed * 5, seed * 5 + 5):
+            for trial in range(50):
+                instance = sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(master, trial))
+                yield build_kernel(make_covering_game(instance), BEST)
+
+
+def test_benchmark_pools_take_no_fallback(monkeypatch):
+    calls = count_tarjan_calls(monkeypatch)
+    for kernel in benchmark_pool_kernels():
+        sink_components(kernel)
+    assert calls == []
 
 
 @st.composite

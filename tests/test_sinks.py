@@ -22,11 +22,11 @@ from sinkeq.generators import (
 )
 from sinkeq.sinks import (
     STATIONARY_TOL,
+    _tarjan,
     price_of_sinking,
     sink_components,
     sink_equilibria,
     stationary_distribution,
-    strongly_connected_components,
 )
 
 
@@ -70,7 +70,7 @@ class TestComponents:
     def test_scc_on_hand_built_graph(self):
         # 0 <-> 1 feed 2, which self-loops.
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
-        comps = {c for c in strongly_connected_components(k)}
+        comps = {c for c in _tarjan(k)[0]}
         assert comps == {(0, 1), (2,)}
         assert sink_components(k) == [(2,)]
 
