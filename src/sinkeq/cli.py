@@ -21,12 +21,12 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .game import (
+    JointAction,
     NormalFormGame,
+    enumerate_nash,
     game_to_dict,
     load_game,
-    optimal_profile,
-    enumerate_nash,
-    price_of_anarchy,
+    positive_optimum,
 )
 from .generators import (
     CoveringMonteCarloSpec,
@@ -42,43 +42,34 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _joint_dict(game: NormalFormGame, flat: int) -> dict:
-    ja = game.index_to_joint(flat)
-    return {"flat": ja.flat, "coords": list(ja.coords)}
+def _joint_dict(ja: JointAction) -> dict:
+    return {"flat": ja.flat, "coords": ja.coords}
 
 
 def _analysis_dict(game: NormalFormGame, mode: str, tie_tol: float) -> dict:
-    optimum, wopt = optimal_profile(game)
-    if wopt <= 0.0:
-        raise DegenerateWelfareError("optimal welfare is zero")
-    equilibria = enumerate_nash(game)
-    try:
-        poa = price_of_anarchy(game)
-    except NoEquilibriumError:
-        poa = None
+    optimum, wopt = positive_optimum(game)
+    equilibria = [
+        {**_joint_dict(ne), "welfare": float(game.welfare[ne.flat])}
+        for ne in enumerate_nash(game)
+    ]
+    poa = min(ne["welfare"] for ne in equilibria) / wopt if equilibria else None
     sink_list = sink_equilibria(game, mode=mode, tie_tol=tie_tol)
     worst = min(sink_list, key=lambda eq: eq.expected_welfare)
-    pos = worst.expected_welfare / wopt
-    sinks = []
-    for eq in sink_list:
-        sinks.append(
+    return {
+        "optimum": {**_joint_dict(optimum), "welfare": wopt},
+        "nash_equilibria": equilibria,
+        "price_of_anarchy": poa,
+        "sinks": [
             {
-                "support": list(eq.support),
-                "coords": [list(game.index_to_joint(s).coords) for s in eq.support],
-                "probabilities": [float(p) for p in eq.probabilities],
+                "support": eq.support,
+                "coords": [game.index_to_joint(s).coords for s in eq.support],
+                "probabilities": eq.probabilities.tolist(),
                 "expected_welfare": eq.expected_welfare,
             }
-        )
-    return {
-        "optimum": {**_joint_dict(game, optimum.flat), "welfare": wopt},
-        "nash_equilibria": [
-            {**_joint_dict(game, ne.flat), "welfare": float(game.welfare[ne.flat])}
-            for ne in equilibria
+            for eq in sink_list
         ],
-        "price_of_anarchy": poa,
-        "sinks": sinks,
-        "price_of_sinking": pos,
-        "worst_sink_support": list(worst.support),
+        "price_of_sinking": worst.expected_welfare / wopt,
+        "worst_sink_support": worst.support,
     }
 
 
@@ -115,7 +106,7 @@ def cmd_smoothness(args: argparse.Namespace) -> int:
             "ratio": lam / mu if mu > 0 else 0.0,
             "valid": cert.valid,
             "min_slack": cert.min_slack,
-            "optimum": _joint_dict(game, cert.optimum.flat),
+            "optimum": _joint_dict(cert.optimum),
         }
     )
     return 0
@@ -130,21 +121,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "price_of_sinking": report.price_of_sinking,
             "lambda_c": report.lambda_c,
             "mu_c": report.mu_c,
-            "num_players": report.num_players,
+            "num_players": game.num_players,
             "singleton_best_response": report.singleton_br,
             "beta_arithmetic": report.misalignment.beta_arithmetic,
             "bound_arithmetic": report.bound_arithmetic,
             "satisfied_arithmetic": report.satisfied_arithmetic,
-            "witness_arithmetic": list(report.misalignment.witness_arithmetic)
-            if report.misalignment.witness_arithmetic is not None
-            else None,
+            "witness_arithmetic": report.misalignment.witness_arithmetic,
             "beta_geometric": report.misalignment.beta_geometric,
             "bound_geometric": report.bound_geometric,
             "satisfied_geometric": report.satisfied_geometric,
-            "witness_geometric": list(report.misalignment.witness_geometric)
-            if report.misalignment.witness_geometric is not None
-            else None,
-            "worst_sink_support": list(report.worst_sink.support),
+            "witness_geometric": report.misalignment.witness_geometric,
+            "worst_sink_support": report.worst_sink.support,
         }
     )
     return 0
@@ -169,7 +156,7 @@ def _emit_monte_carlo(args: argparse.Namespace, spec) -> int:
     if args.format == "csv":
         lines = ["trial,pos,bound,violation"]
         for r in summary.results:
-            lines.append(f"{r.trial},{r.pos!r},{r.bound!r},{int(r.violation)}")
+            lines.append(f"{r.trial},{r.pos!r},{summary.bound!r},{int(r.violation)}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         _print_json(

@@ -40,13 +40,13 @@ class TransitionKernel:
     target differs from ``a`` in at most one player coordinate.
     """
 
-    num_states: int
-    num_players: int
-    mode: str
-    tie_tol: float
     indptr: np.ndarray
     indices: np.ndarray
     probs: np.ndarray
+
+    @property
+    def num_states(self) -> int:
+        return self.indptr.size - 1
 
     def row(self, state: int) -> tuple[tuple[int, float], ...]:
         lo, hi = self.indptr[state], self.indptr[state + 1]
@@ -64,8 +64,11 @@ def _response_mask(
     each of ``states``.
 
     Also returns the player's fiber of ``states``, the targets of those
-    actions.
+    actions.  ``tie_tol`` must be a nonnegative number in either mode, so
+    NaN is refused.
     """
+    if not tie_tol >= 0:
+        raise InvalidParametersError("tie_tol must be nonnegative")
     fiber = game.fiber(player, states)
     table = game.utilities[player]
     val = table[fiber]
@@ -86,8 +89,6 @@ def best_response_set(
 
     With the default ``tie_tol=0`` this is the exact argmax set.
     """
-    if tie_tol < 0:
-        raise InvalidParametersError("tie_tol must be nonnegative")
     mask, _ = _response_mask(game, player, BEST, tie_tol, game.joint(action).flat)
     return ResponseSet(player=player, actions=tuple(np.flatnonzero(mask).tolist()))
 
@@ -115,8 +116,6 @@ def build_kernel(
     """
     if mode not in (BEST, BETTER):
         raise InvalidParametersError(f"mode must be '{BEST}' or '{BETTER}'")
-    if tie_tol < 0:
-        raise InvalidParametersError("tie_tol must be nonnegative")
 
     n = game.num_players
     num_states = game.num_profiles
@@ -144,10 +143,6 @@ def build_kernel(
     dst = np.concatenate(dsts)
     order = np.argsort(src * num_states + dst)
     kernel = TransitionKernel(
-        num_states=num_states,
-        num_players=n,
-        mode=mode,
-        tie_tol=float(tie_tol),
         indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
         indices=dst[order],
         probs=np.concatenate(probs)[order],
@@ -166,8 +161,6 @@ def is_singleton_br(
     Returns ``(True, None)`` or ``(False, (player, state))`` for the violation
     with the smallest state index (smallest player breaking ties).
     """
-    if tie_tol < 0:
-        raise InvalidParametersError("tie_tol must be nonnegative")
     states = np.arange(game.num_profiles)
     counts = [
         _response_mask(game, player, BEST, tie_tol, states)[0].sum(axis=0)

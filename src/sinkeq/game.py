@@ -179,6 +179,17 @@ def optimal_profile(game: NormalFormGame) -> tuple[JointAction, float]:
     return game.index_to_joint(flat), float(game.welfare[flat])
 
 
+def positive_optimum(game: NormalFormGame) -> tuple[JointAction, float]:
+    """``optimal_profile`` for welfare ratios, which divide by its welfare.
+
+    Raises DegenerateWelfareError when the optimal welfare is zero.
+    """
+    optimum, wopt = optimal_profile(game)
+    if wopt <= 0.0:
+        raise DegenerateWelfareError("optimal welfare is zero")
+    return optimum, wopt
+
+
 def _nash_mask(game: NormalFormGame, states) -> np.ndarray:
     """Whether each of ``states`` gives every player its fiber's best payoff."""
     mask = np.ones(np.shape(states), dtype=bool)
@@ -203,11 +214,8 @@ def price_of_anarchy(game: NormalFormGame) -> float:
     equilibria = enumerate_nash(game)
     if not equilibria:
         raise NoEquilibriumError("game has no pure Nash equilibrium")
-    _, wopt = optimal_profile(game)
-    if wopt <= 0.0:
-        raise DegenerateWelfareError("optimal welfare is zero")
-    worst = min(float(game.welfare[ne.flat]) for ne in equilibria)
-    return worst / wopt
+    _, wopt = positive_optimum(game)
+    return min(float(game.welfare[ne.flat]) for ne in equilibria) / wopt
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +286,9 @@ def game_from_dict(obj: object, source: str = "<game>") -> NormalFormGame:
         for i, row in enumerate(labels):
             if not isinstance(row, list) or len(row) != counts[i]:
                 fail(f"labels[{i}]", f"expected {counts[i]} labels")
+            for k, label in enumerate(row):
+                if not isinstance(label, str):
+                    fail(f"labels[{i}][{k}]", f"expected a string, got {type(label).__name__}")
 
     try:
         return NormalFormGame(

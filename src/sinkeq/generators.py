@@ -131,7 +131,7 @@ class CoveringInstance:
             raise ValidationError("need at least one region")
         if any(v < 0 for v in self.values):
             raise ValidationError("region values must be nonnegative")
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValidationError("scale must be nonnegative")
         if not self.options:
             raise ValidationError("need at least one agent")
@@ -153,6 +153,8 @@ class CoveringInstance:
             norm.append(tuple(rows))
         object.__setattr__(self, "options", tuple(norm))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        # rng.normal rejects a scale of -0.0.
+        object.__setattr__(self, "scale", self.scale + 0.0)
 
     @property
     def num_agents(self) -> int:
@@ -222,11 +224,11 @@ def sample_covering_instance(
     bias: float,
     scale: float,
     seed: int,
-    region_value: float = 1.0,
     options_per_agent: int = 4,
 ) -> CoveringInstance:
-    """Random instance: each agent gets up to ``options_per_agent`` distinct
-    random subsets, resampled until at least one is nonempty."""
+    """Random instance with unit region values: each agent gets up to
+    ``options_per_agent`` distinct random subsets, resampled until at least
+    one is nonempty."""
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
     rng = philox_rng(seed, 0)
@@ -249,7 +251,7 @@ def sample_covering_instance(
         for rows, kept in zip(drawn.tolist(), first.tolist())
     )
     return CoveringInstance(
-        values=(float(region_value),) * num_regions,
+        values=(1.0,) * num_regions,
         options=options,
         bias=float(bias),
         scale=float(scale),
@@ -376,6 +378,8 @@ def sample_radio_instance(
     """
     if num_agents < 2:
         raise InvalidParametersError("need at least two agents")
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidParametersError("alpha must lie in (0, 1]")
     # The estimates alone take num_agents**3 floats: refuse before drawing them.
     _checked_profiles(1 << num_agents)
     rng = philox_rng(seed, 0)
@@ -547,8 +551,6 @@ class CoveringMonteCarloSpec:
     num_regions: int
     bias: float
     scale: float
-    region_value: float = 1.0
-    options_per_agent: int = 4
 
 
 @dataclass(frozen=True)
@@ -563,14 +565,14 @@ class RadioMonteCarloSpec:
 class TrialResult:
     trial: int
     pos: float
-    bound: float
     violation: bool
 
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
     """Aggregate view of one experiment; violations count trials whose exact
-    price of sinking fell more than 1e-9 below the per-trial bound."""
+    price of sinking fell more than 1e-9 below the bound, which depends only
+    on the spec."""
 
     trials: int
     mean_pos: float
@@ -581,7 +583,11 @@ class MonteCarloSummary:
     results: tuple[TrialResult, ...]
 
 
-def _covering_bound(spec: CoveringMonteCarloSpec) -> float:
+def _spec_bound(spec: CoveringMonteCarloSpec | RadioMonteCarloSpec) -> float:
+    if isinstance(spec, RadioMonteCarloSpec):
+        return radio_sinking_bound(spec.num_agents, spec.alpha)
+    if not isinstance(spec, CoveringMonteCarloSpec):
+        raise InvalidParametersError(f"unknown Monte Carlo spec {type(spec).__name__}")
     if spec.scale > 0:
         beta = expected_covering_misalignment(spec.bias, spec.scale, spec.num_regions)
     else:
@@ -590,35 +596,16 @@ def _covering_bound(spec: CoveringMonteCarloSpec) -> float:
     return covering_sinking_bound(spec.num_agents, beta)
 
 
-def _run_trial(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
-    master_seed: int,
-    trial: int,
-) -> TrialResult:
-    seed = _trial_seed(master_seed, trial)
+def _trial_game(
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, seed: int
+) -> NormalFormGame:
     if isinstance(spec, CoveringMonteCarloSpec):
-        instance = sample_covering_instance(
-            spec.num_agents,
-            spec.num_regions,
-            spec.bias,
-            spec.scale,
-            seed,
-            region_value=spec.region_value,
-            options_per_agent=spec.options_per_agent,
+        return make_covering_game(
+            sample_covering_instance(
+                spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed
+            )
         )
-        game = make_covering_game(instance)
-        bound = _covering_bound(spec)
-    elif isinstance(spec, RadioMonteCarloSpec):
-        game = make_radio_game(
-            sample_radio_instance(spec.num_agents, spec.alpha, seed)
-        )
-        bound = radio_sinking_bound(spec.num_agents, spec.alpha)
-    else:
-        raise InvalidParametersError(f"unknown Monte Carlo spec {type(spec).__name__}")
-    pos, _ = price_of_sinking(game, mode=BEST)
-    return TrialResult(
-        trial=trial, pos=pos, bound=bound, violation=pos < bound - BOUND_TOL
-    )
+    return make_radio_game(sample_radio_instance(spec.num_agents, spec.alpha, seed))
 
 
 def run_monte_carlo(
@@ -635,14 +622,21 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise InvalidParametersError("need at least one trial")
+    if master_seed < 0:
+        raise InvalidParametersError("master_seed must be nonnegative")
+    bound = _spec_bound(spec)
     results = []
     for trial in range(trials):
         try:
-            results.append(_run_trial(spec, master_seed, trial))
+            game = _trial_game(spec, _trial_seed(master_seed, trial))
+            pos, _ = price_of_sinking(game, mode=BEST)
         except GameAnalysisError as exc:
             raise type(exc)(
                 f"trial {trial} (master_seed={master_seed}): {exc}"
             ) from exc
+        results.append(
+            TrialResult(trial=trial, pos=pos, violation=pos < bound - BOUND_TOL)
+        )
     pos = np.array([r.pos for r in results])
     std_err = float(np.std(pos, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloSummary(
@@ -650,7 +644,7 @@ def run_monte_carlo(
         mean_pos=float(np.mean(pos)),
         std_err=std_err,
         min_pos=float(np.min(pos)),
-        bound=results[0].bound,
+        bound=bound,
         violations=sum(r.violation for r in results),
         results=tuple(results),
     )

@@ -8,12 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BEST, TransitionKernel, build_kernel
-from .errors import (
-    DegenerateWelfareError,
-    InvalidParametersError,
-    NumericalFailureError,
-)
-from .game import NormalFormGame, optimal_profile
+from .errors import InvalidParametersError, NumericalFailureError
+from .game import NormalFormGame, positive_optimum
 
 STATIONARY_TOL = 1e-10
 POWER_MAX_STEPS = 10**6
@@ -306,13 +302,10 @@ def price_of_sinking(
     game: NormalFormGame, mode: str = BEST, tie_tol: float = 0.0
 ) -> tuple[float, SinkEquilibrium]:
     """Worst sink expected welfare over the optimal welfare, with the
-    minimizing equilibrium."""
-    _, wopt = optimal_profile(game)
-    if wopt <= 0.0:
-        raise DegenerateWelfareError("optimal welfare is zero")
-    equilibria = sink_equilibria(game, mode=mode, tie_tol=tie_tol)
-    worst = equilibria[0]
-    for eq in equilibria[1:]:
-        if eq.expected_welfare < worst.expected_welfare:
-            worst = eq
+    minimizing equilibrium (the first of equal minima)."""
+    _, wopt = positive_optimum(game)
+    worst = min(
+        sink_equilibria(game, mode=mode, tie_tol=tie_tol),
+        key=lambda eq: eq.expected_welfare,
+    )
     return worst.expected_welfare / wopt, worst

@@ -20,11 +20,10 @@ import numpy as np
 from .dynamics import BEST, BETTER, build_kernel, is_singleton_br
 from .errors import (
     CertificateNotFoundError,
-    DegenerateWelfareError,
     InvalidParametersError,
     WitnessNotFoundError,
 )
-from .game import JointAction, NormalFormGame, optimal_profile
+from .game import JointAction, NormalFormGame, optimal_profile, positive_optimum
 from .sinks import SinkEquilibrium, price_of_sinking, sink_components
 
 SLACK_TOL = 1e-9
@@ -35,9 +34,6 @@ RATIO_TOL = 1e-9
 class SmoothnessCertificate:
     """Per-state slack of the smoothness inequality for one (lam, mu) pair."""
 
-    lam: float
-    mu: float
-    common_interest: bool
     slack: np.ndarray
     optimum: JointAction
 
@@ -63,7 +59,6 @@ class MisalignmentReport:
     witness_arithmetic: tuple[int, int] | None
     beta_geometric: float | None
     witness_geometric: tuple[int, int] | None
-    arithmetic_exceeds_unit: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +68,6 @@ class BoundReport:
     price_of_sinking: float
     lambda_c: float
     mu_c: float
-    num_players: int
     singleton_br: bool
     bound_arithmetic: float | None
     satisfied_arithmetic: bool | None
@@ -85,13 +79,12 @@ class BoundReport:
 
 @dataclass(frozen=True, eq=False)
 class SinkWitness:
-    """Best support action of one better-response sink versus its floor."""
+    """Best support action of one better-response sink, which meets its
+    welfare floor."""
 
     support: tuple[int, ...]
     action: JointAction
     welfare: float
-    threshold: float
-    meets_threshold: bool
     aligned_action: JointAction
 
 
@@ -128,13 +121,7 @@ def check_smoothness(
     deviation = _deviation_totals(game, optimum, common_interest)
     slack = mu * game.welfare - lam * wopt - deviation
     slack.setflags(write=False)
-    return SmoothnessCertificate(
-        lam=float(lam),
-        mu=float(mu),
-        common_interest=bool(common_interest),
-        slack=slack,
-        optimum=optimum,
-    )
+    return SmoothnessCertificate(slack=slack, optimum=optimum)
 
 
 def best_smoothness(
@@ -157,9 +144,7 @@ def best_smoothness(
         If no finite certificate exists (a zero-welfare state with positive
         total deviation gain blocks every ``lam >= 0``).
     """
-    optimum, wopt = optimal_profile(game)
-    if wopt <= 0.0:
-        raise DegenerateWelfareError("optimal welfare is zero")
+    optimum, wopt = positive_optimum(game)
     deviation = _deviation_totals(game, optimum, common_interest)
     welfare = game.welfare
     zero_tol = 1e-12 * max(1.0, wopt)
@@ -312,7 +297,6 @@ def measure_misalignment(game: NormalFormGame) -> MisalignmentReport:
         witness_arithmetic=arith_witness,
         beta_geometric=beta_geo,
         witness_geometric=geo_witness,
-        arithmetic_exceeds_unit=bool(beta_arith is not None and beta_arith > 1.0),
     )
 
 
@@ -348,7 +332,6 @@ def bound_report(game: NormalFormGame, tie_tol: float = 0.0) -> BoundReport:
         price_of_sinking=pos,
         lambda_c=lam_c,
         mu_c=mu_c,
-        num_players=n,
         singleton_br=singleton,
         bound_arithmetic=bound_arith,
         satisfied_arithmetic=satisfied_arith,
@@ -376,9 +359,9 @@ def better_response_witness(
             f"({lam}, {mu}) is not a valid smoothness certificate "
             f"(min slack {certificate.min_slack:.3e})"
         )
-    optimum, wopt = optimal_profile(game)
+    optimum = certificate.optimum
     ratio = lam / mu if mu > 0 else 0.0
-    threshold = ratio * wopt
+    threshold = ratio * float(game.welfare[optimum.flat])
 
     kernel = build_kernel(game, mode=BETTER)
     # States where no player gains by switching to its optimal coordinate.
@@ -391,26 +374,22 @@ def better_response_witness(
         best_pos = int(np.argmax(values))
         best_state = support[best_pos]
         best_welfare = float(values[best_pos])
-        meets = best_welfare >= threshold - SLACK_TOL
+        if best_welfare < threshold - SLACK_TOL:
+            raise WitnessNotFoundError(
+                f"sink starting at state {support[0]} has max welfare "
+                f"{best_welfare:.6g} below threshold {threshold:.6g}"
+            )
 
         # Never empty: a player who gains by switching to its optimal
         # coordinate may make that switch, so the sink holds the switched
         # state too, and repeated switches end at an aligned state.
         hits = np.flatnonzero(aligned_states[list(support)])
         aligned = game.index_to_joint(support[hits[0]])
-
-        if not meets:
-            raise WitnessNotFoundError(
-                f"sink starting at state {support[0]} has max welfare "
-                f"{best_welfare:.6g} below threshold {threshold:.6g}"
-            )
         witnesses.append(
             SinkWitness(
                 support=support,
                 action=game.index_to_joint(best_state),
                 welfare=best_welfare,
-                threshold=threshold,
-                meets_threshold=meets,
                 aligned_action=aligned,
             )
         )

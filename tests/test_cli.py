@@ -121,12 +121,42 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
-    def test_degenerate_welfare_is_exit_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("analyze", ["--mode", "best"]),
+            ("analyze", ["--mode", "better"]),
+            ("bounds", []),
+            ("smoothness", []),
+            ("smoothness", ["--common-interest"]),
+        ],
+        ids=["analyze-best", "analyze-better", "bounds", "smoothness", "smoothness-common"],
+    )
+    def test_degenerate_welfare_is_exit_two(self, capsys, tmp_path, command, flags):
         g = NormalFormGame((2,), np.zeros(2), np.array([[0.0, 1.0]]))
         path = write_game(tmp_path, g)
-        code, _, err = run_cli(capsys, "analyze", "--input", path)
-        assert code == 2
-        assert "welfare" in err
+        code, out, err = run_cli(capsys, command, "--input", path, *flags)
+        assert code == 2 and out == ""
+        assert err == "error: optimal welfare is zero\n"
+
+    @pytest.mark.parametrize(
+        "label,kind", [({"a": [1]}, "dict"), (["a"], "list"), (3.5, "float"), (7, "int")]
+    )
+    def test_non_string_label_is_exit_one(self, capsys, tmp_path, label, kind):
+        path = tmp_path / "labelled.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "action_counts": [2],
+                    "welfare": [1.0, 0.5],
+                    "utilities": [[0.1, 0.7]],
+                    "labels": [["up", label]],
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: labels[0][1]: expected a string, got {kind}\n"
 
     def test_usage_error_is_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "analyze")

@@ -188,10 +188,6 @@ def chains(draw):
     for state, row in enumerate(rows):
         relabeled[perm[state]] = sorted(perm[t] for t in row)
     return TransitionKernel(
-        num_states=len(rows),
-        num_players=1,
-        mode=BEST,
-        tie_tol=0.0,
         indptr=np.cumsum([0] + [len(r) for r in relabeled]),
         indices=np.array([t for r in relabeled for t in r], dtype=np.int64),
         probs=np.concatenate([np.full(len(r), 1.0 / len(r)) for r in relabeled]),

@@ -71,6 +71,15 @@ non_numbers = st.one_of(
 wrong_values = st.one_of(
     non_numbers, st.integers(), st.floats(), st.lists(non_numbers, min_size=1, max_size=3)
 )
+# JSON values that no action label accepts.
+non_strings = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.lists(st.integers(), max_size=2), max_size=2),
+)
 
 
 @st.composite
@@ -87,6 +96,10 @@ def wrong_types(draw):
         game[draw(st.text(max_size=5).filter(lambda k: k not in game))] = draw(wrong_values)
     elif field == "missing":
         del game[draw(st.sampled_from(["action_counts", "welfare", "utilities"]))]
+    elif field == "labels" and draw(st.booleans()):
+        game["labels"] = [[f"a{k}" for k in range(c)] for c in game["action_counts"]]
+        row = draw(st.sampled_from(game["labels"]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(non_strings)
     elif field == "labels":
         game["labels"] = draw(
             st.one_of(st.booleans(), st.integers(), st.text(max_size=5), st.just([]))
@@ -127,7 +140,7 @@ def mutated(draw):
 def deeply_nested(draw):
     depth = draw(st.integers(1, 200_000))
     nest = "[" * depth + "]" * depth
-    where = draw(st.sampled_from(["top", "welfare", "utilities"]))
+    where = draw(st.sampled_from(["top", "welfare", "utilities", "labels"]))
     if where == "top":
         return nest.encode()
     game = {"action_counts": [1], "welfare": [1.0], "utilities": [[1.0]], where: ["NEST"]}

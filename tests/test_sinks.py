@@ -43,10 +43,6 @@ def common_interest(counts, welfare):
 def hand_kernel(rows):
     entries = [sorted(r.items()) for r in rows]
     return TransitionKernel(
-        num_states=len(rows),
-        num_players=1,
-        mode=BEST,
-        tie_tol=0.0,
         indptr=np.cumsum([0] + [len(e) for e in entries]),
         indices=np.array([t for e in entries for t, _ in e], dtype=np.int64),
         probs=np.array([p for e in entries for _, p in e]),
