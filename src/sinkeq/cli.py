@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .dynamics import BEST, BETTER, build_kernel
 from .errors import (
     CertificateNotFoundError,
@@ -200,8 +202,17 @@ def cmd_export_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage problems as ``ValidationError``, so ``main`` reports them
+    on one line instead of argparse's usage block and exit code 2.  Subparsers
+    are made with the same class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sinkeq",
         description="Sink-equilibrium analysis for finite normal-form games",
     )
@@ -260,15 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; fold those into the
-        # validation-error code and keep 0 for --help.
-        return 0 if exc.code in (None, 0) else 1
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # A numpy warning would print ahead of the one error line; tables
+        # made non-finite are refused where they are built.
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except SystemExit:  # only --help exits; usage errors raise ValidationError
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

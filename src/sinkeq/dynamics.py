@@ -11,6 +11,7 @@ exactly at self-loops, where a player's current action is already a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -64,11 +65,13 @@ def _response_mask(
     each of ``states``.
 
     Also returns the player's fiber of ``states``, the targets of those
-    actions.  ``tie_tol`` must be a nonnegative number in either mode, so
-    NaN is refused.
+    actions.  ``tie_tol`` must be a finite nonnegative number in either
+    mode, so NaN and infinity are refused.
     """
     if not tie_tol >= 0:
         raise InvalidParametersError("tie_tol must be nonnegative")
+    if tie_tol == math.inf:
+        raise InvalidParametersError("tie_tol must be finite")
     fiber = game.fiber(player, states)
     table = game.utilities[player]
     val = table[fiber]

@@ -131,7 +131,9 @@ class CoveringInstance:
             raise ValidationError("need at least one region")
         if any(v < 0 for v in self.values):
             raise ValidationError("region values must be nonnegative")
-        if not self.scale >= 0:
+        if not (math.isfinite(self.bias) and math.isfinite(self.scale)):
+            raise ValidationError("bias and scale must be finite")
+        if self.scale < 0:
             raise ValidationError("scale must be nonnegative")
         if not self.options:
             raise ValidationError("need at least one agent")
@@ -188,14 +190,18 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     """
     counts = tuple(len(opts) for opts in instance.options)
     total = _checked_profiles(math.prod(counts))
+    m = instance.num_regions
+    width = (m + 7) // 8
+    if total * width > MAX_PROFILES:
+        raise InvalidParametersError(
+            f"game would need more than {MAX_PROFILES} bytes of region bits"
+        )
     estimates = sample_covering_estimates(instance)
     values = np.asarray(instance.values)
-    m = instance.num_regions
 
     # Region bits of each profile's union, one byte row per profile, built
     # on the profile tensor whose axis -2 - i is agent i's option (agent 0
     # varies fastest in the flat order).
-    width = (m + 7) // 8
     unions = np.zeros(counts[::-1] + (width,), dtype=np.uint8)
     for i, (opts, c) in enumerate(zip(instance.options, counts)):
         masks = np.zeros((c, m), dtype=bool)
@@ -231,6 +237,10 @@ def sample_covering_instance(
     one is nonempty."""
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
+    if num_agents * options_per_agent * num_regions > MAX_PROFILES:
+        raise InvalidParametersError(
+            f"instance would draw more than {MAX_PROFILES} option bits"
+        )
     rng = philox_rng(seed, 0)
     draws = []
     for _ in range(num_agents):
@@ -239,16 +249,11 @@ def sample_covering_instance(
             if masks.any():
                 break
         draws.append(masks)
-    drawn = np.stack(draws)
-    # An option repeats when an earlier option of the same agent has the
-    # same region bits; keep first occurrences in draw order.
-    bits = np.packbits(drawn, axis=2)
-    same = (bits[:, :, None, :] == bits[:, None, :, :]).all(axis=3)
-    first = ~np.tril(same, -1).any(axis=2)
+    # A repeated option keeps its first occurrence, in draw order.
     regions = range(num_regions)
     options = _SortedOptions(
-        tuple(tuple(compress(regions, row)) for row, keep in zip(rows, kept) if keep)
-        for rows, kept in zip(drawn.tolist(), first.tolist())
+        tuple(dict.fromkeys(tuple(compress(regions, row)) for row in masks.tolist()))
+        for masks in draws
     )
     return CoveringInstance(
         values=(1.0,) * num_regions,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -50,9 +51,10 @@ class SmoothnessCertificate:
 class MisalignmentReport:
     """How far utilities stray from the welfare, in additive and ratio terms.
 
-    A ``None`` beta means the corresponding notion is undefined for the game;
-    the witness then points at the offending (player, state) pair instead of
-    the maximizer.
+    A ``None`` beta means the corresponding notion is undefined for the game
+    or its value is out of range; the witness then points at the offending
+    (player, state) pair.  A defined ``beta_arithmetic`` is finite and a
+    defined ``beta_geometric`` lies in ``[0, 1)``.
     """
 
     beta_arithmetic: float | None
@@ -214,90 +216,50 @@ def multiplicative_sinking_bound(
 
 
 def measure_misalignment(game: NormalFormGame) -> MisalignmentReport:
-    """Measure both misalignment notions from the stored tables in one pass.
+    """Measure both misalignment notions in one pass over each player's table.
 
-    Zero-welfare states are covered only when every utility vanishes there;
-    otherwise the affected notion is undefined.  The ratio notion additionally
-    requires every utility/welfare ratio to be positive.
+    Over the positive-welfare states, the arithmetic beta is ``max |U/W - 1|``
+    and the ratio beta ``max(1 - min U/W, 1 - 1/max U/W)``.  Each witness is
+    the first extreme (player, state) pair in (player, state) order; the
+    minimum ratio wins a tie between the two ratio terms.  Both notions are
+    undefined (``None``) from the first player with a nonzero utility at a
+    zero-welfare state, the ratio notion also from the first player with a
+    ratio ``U/W <= 0``; the witness is that player's first such state, a
+    zero-welfare one first.  A beta that overflow or rounding takes out of
+    range (not finite, or for the ratio not below 1) is undefined as well,
+    witnessed by its extreme pair.
     """
-    arith_beta = 0.0
-    arith_witness: tuple[int, int] | None = None
-    arith_defined = True
-    geo_defined = True
-    geo_undef_witness: tuple[int, int] | None = None
-    ratio_min = math.inf
-    ratio_max = -math.inf
-    ratio_min_witness: tuple[int, int] | None = None
-    ratio_max_witness: tuple[int, int] | None = None
-
     welfare = game.welfare
     zero = welfare == 0.0
-    positive = ~zero
-    pos_index = np.flatnonzero(positive)
+    positive = np.flatnonzero(~zero)
+    rows = []
+    for player, utility in enumerate(game.utilities):
+        with np.errstate(over="ignore"):
+            ratios = utility[positive] / welfare[positive]
+        deviation = np.abs(ratios - 1.0)
+        firsts = (np.flatnonzero(zero & (utility != 0.0)), positive[ratios <= 0.0])
+        row = [(player, int(states[0])) if states.size else None for states in firsts]
+        # Without positive-welfare states, the extremes of an aligned state.
+        extremes = [(0.0, None), (1.0, None), (1.0, None)]
+        if positive.size:
+            ks = deviation.argmax(), ratios.argmin(), ratios.argmax()
+            extremes = [(float(v[k]), (player, int(positive[k])))
+                        for v, k in zip((deviation, ratios, ratios), ks)]
+        rows.append(row + extremes)
 
-    for player in range(game.num_players):
-        utility = game.utilities[player]
-        bad_zero = np.flatnonzero(zero & (utility != 0.0))
-        if bad_zero.size and arith_defined:
-            arith_defined = False
-            arith_witness = (player, int(bad_zero[0]))
-        if bad_zero.size and geo_defined:
-            geo_defined = False
-            geo_undef_witness = (player, int(bad_zero[0]))
-        if pos_index.size == 0:
-            continue
-        ratios = utility[pos_index] / welfare[pos_index]
-        if arith_defined:
-            deviations = np.abs(ratios - 1.0)
-            k = int(np.argmax(deviations))
-            if deviations[k] > arith_beta or arith_witness is None:
-                arith_beta = float(deviations[k])
-                arith_witness = (player, int(pos_index[k]))
-        if geo_defined:
-            nonpos = np.flatnonzero(ratios <= 0.0)
-            if nonpos.size:
-                geo_defined = False
-                geo_undef_witness = (player, int(pos_index[nonpos[0]]))
-            else:
-                k = int(np.argmin(ratios))
-                if ratios[k] < ratio_min:
-                    ratio_min = float(ratios[k])
-                    ratio_min_witness = (player, int(pos_index[k]))
-                k = int(np.argmax(ratios))
-                if ratios[k] > ratio_max:
-                    ratio_max = float(ratios[k])
-                    ratio_max_witness = (player, int(pos_index[k]))
-
-    if not arith_defined:
-        beta_arith = None
-    elif pos_index.size == 0:
-        beta_arith = 0.0
-        arith_witness = None
-    else:
-        beta_arith = arith_beta
-
-    if not geo_defined:
-        beta_geo = None
-        geo_witness = geo_undef_witness
-    elif pos_index.size == 0 or not math.isfinite(ratio_min):
-        beta_geo = 0.0
-        geo_witness = None
-    else:
-        from_low = 1.0 - ratio_min
-        from_high = 1.0 - 1.0 / ratio_max
-        if from_low >= from_high:
-            beta_geo = max(from_low, 0.0)
-            geo_witness = ratio_min_witness
-        else:
-            beta_geo = max(from_high, 0.0)
-            geo_witness = ratio_max_witness
-
-    return MisalignmentReport(
-        beta_arithmetic=beta_arith,
-        witness_arithmetic=arith_witness,
-        beta_geometric=beta_geo,
-        witness_geometric=geo_witness,
-    )
+    bad_zero, nonpos, deviations, low, high = zip(*rows)
+    arith_bad = next(filter(None, bad_zero), None)
+    ratio_bad = next(filter(None, map(lambda z, r: z or r, bad_zero, nonpos)), None)
+    # max and min return the first of equal extremes, so earlier pairs win ties.
+    value = itemgetter(0)
+    arith, low, high = max(deviations, key=value), min(low, key=value), max(high, key=value)
+    if ratio_bad is None:
+        ratio = max((1.0 - low[0], low[1]), (1.0 - 1.0 / high[0], high[1]), key=value)
+    if arith_bad or not math.isfinite(arith[0]):
+        arith = (None, arith_bad or arith[1])
+    if ratio_bad or not ratio[0] < 1.0:
+        ratio = (None, ratio_bad or ratio[1])
+    return MisalignmentReport(*arith, *ratio)
 
 
 def bound_report(game: NormalFormGame, tie_tol: float = 0.0) -> BoundReport:

@@ -159,8 +159,42 @@ class TestExitCodes:
         assert err == f"error: {path}: labels[0][1]: expected a string, got {kind}\n"
 
     def test_usage_error_is_exit_one(self, capsys):
-        code, _, _ = run_cli(capsys, "analyze")
-        assert code == 1
+        code, out, err = run_cli(capsys, "analyze")
+        assert code == 1 and out == ""
+        assert err == "error: sinkeq analyze: the following arguments are required: --input\n"
+
+    def test_rejected_flag_value_is_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "covering-mc", "--n", "1.5", "--regions", "3", "--trials", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: sinkeq covering-mc: argument --n: invalid int value: '1.5'\n"
+
+    def test_help_is_exit_zero(self, capsys):
+        code, out, err = run_cli(capsys, "covering-mc", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: sinkeq covering-mc")
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--scale=inf"], "bias and scale must be finite"),
+            (["--bias=nan"], "bias and scale must be finite"),
+            (["--bias=1e308", "--scale=1e308"], "utility entries must be finite"),
+        ],
+    )
+    def test_non_finite_covering_draws_are_one_line(self, capsys, flags, message):
+        argv = ["covering-mc", "--n", "2", "--regions", "3", "--trials", "2", *flags]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: trial 0 (master_seed=0): {message}\n"
+
+    def test_huge_region_count_is_refused_before_drawing(self, capsys):
+        argv = ["covering-mc", "--n", "2", "--regions", "1000000000000", "--trials", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 1048576 option bits" in err
 
     def test_missing_file_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--input", "/does/not/exist.json")
@@ -201,6 +235,32 @@ class TestBoundsCommand:
         assert payload["beta_arithmetic"] == pytest.approx(0.05)
         assert payload["price_of_sinking"] >= payload["bound_arithmetic"] - 1e-9
         assert payload["satisfied_arithmetic"] is True
+
+
+    @pytest.mark.parametrize(
+        "welfare,utility,arithmetic",
+        # The ratio beta 1 - 1e-20 rounds to 1; -1 / 1e-320 overflows.
+        [([1.0, 1.0], [1.0, 1e-20], 1.0), ([1.0, 1e-320], [1.0, -1.0], None)],
+    )
+    def test_extreme_ratios_leave_betas_undefined(
+        self, capsys, tmp_path, welfare, utility, arithmetic
+    ):
+        path = write_game(tmp_path, NormalFormGame((2,), welfare, [utility]))
+        code, out, err = run_cli(capsys, "bounds", "--input", path)
+        assert code == 0 and err == ""
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["beta_arithmetic"] == arithmetic
+        if arithmetic is None:
+            assert payload["witness_arithmetic"] == [0, 1]
+            assert payload["satisfied_arithmetic"] is None
+        assert payload["beta_geometric"] is None
+        assert payload["bound_geometric"] is None
+        assert payload["satisfied_geometric"] is None
+        assert payload["witness_geometric"] == [0, 1]
 
 
 class TestMonteCarloCommands:

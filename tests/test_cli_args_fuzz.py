@@ -1,17 +1,21 @@
-"""Numeric flags of every command: no exception may escape ``main``, and a
-nonzero exit prints exactly one ``error:`` line and no report.
+"""Numeric flags of every command: no exception or warning may escape
+``main``, a nonzero exit prints exactly one ``error:`` line and no report, and
+a JSON report is strict JSON (no NaN or Infinity).
 
-Values are ones argparse accepts for the flag's type, written
-``--flag=value`` so that negative numbers parse; games stay small.
+Number values are written ``--flag=value`` so that negative numbers parse;
+``test_text_is_rejected_on_one_line`` gives each flag text its type cannot
+convert.  Games stay small.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sinkeq.cli import main
@@ -24,36 +28,51 @@ floats = st.one_of(
 seeds = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
 
+def strict_constant(constant):
+    raise ValueError(f"report holds {constant}")
+
+
 def run(argv):
+    """Exit code and stderr lines of ``main(argv)``, checked as above."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == [], (argv, lines)
+        if argv[0] != "export-kernel" and "--format=csv" not in argv:
+            json.loads(out.getvalue(), parse_constant=strict_constant)
     else:
         assert code in (1, 2, 3), (argv, code)
         assert out.getvalue() == "", argv
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
-    return code
+    return code, lines
 
 
 def flag(name, value):
     return f"--{name}={value!r}"
 
 
-@settings(max_examples=60, deadline=None)
-@given(mode=st.sampled_from(["best", "better"]), tie_tol=floats)
-@example(mode="best", tie_tol=math.nan)
-@example(mode="better", tie_tol=math.nan)
-def test_tie_tol(tmp_path_factory, mode, tie_tol):
+@pytest.fixture(scope="module")
+def game_path(tmp_path_factory):
     w = np.array([1.0, 0.5, 0.25, 2.0])
     game = NormalFormGame((2, 2), w, np.vstack([w, w[::-1]]))
     path = tmp_path_factory.mktemp("game") / "game.json"
     path.write_text(json.dumps(game_to_dict(game)))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["best", "better"]), tie_tol=floats)
+@example(mode="best", tie_tol=math.nan)
+@example(mode="better", tie_tol=math.nan)
+@example(mode="best", tie_tol=math.inf)
+def test_tie_tol(game_path, mode, tie_tol):
     for command in ("analyze", "export-kernel"):
-        code = run([command, "--input", str(path), "--mode", mode, flag("tie-tol", tie_tol)])
-        assert (code == 0) == (tie_tol >= 0), (command, tie_tol, code)
+        code, _ = run([command, "--input", game_path, "--mode", mode, flag("tie-tol", tie_tol)])
+        assert (code == 0) == (0 <= tie_tol < math.inf), (command, tie_tol, code)
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,7 +92,7 @@ def test_counterexample(lam, mu):
 )
 @example(n=2, regions=3, bias=0.0, scale=0.0, trials=2, seed=-1)
 def test_covering_mc(n, regions, bias, scale, trials, seed):
-    code = run(
+    code, _ = run(
         ["covering-mc", flag("n", n), flag("regions", regions), flag("bias", bias),
          flag("scale", scale), flag("trials", trials), flag("seed", seed)]
     )
@@ -97,9 +116,53 @@ def test_negative_zero_scale_is_zero(capsys):
 @example(n=3, alpha=math.inf, trials=1, seed=0)
 @example(n=3, alpha=0.5, trials=1, seed=-1)
 def test_radio_mc(n, alpha, trials, seed):
-    code = run(
+    code, _ = run(
         ["radio-mc", flag("n", n), flag("alpha", alpha), flag("trials", trials),
          flag("seed", seed)]
     )
     if seed < 0 or not 0.0 < alpha <= 1.0:
         assert code == 1
+
+
+# Each numeric flag, and the other arguments its command needs.
+NUMERIC_FLAGS = [
+    ("analyze", "tie-tol", float),
+    ("export-kernel", "tie-tol", float),
+    ("counterexample", "lambda", float),
+    ("counterexample", "mu", float),
+    *(("covering-mc", name, kind) for name, kind in [
+        ("n", int), ("regions", int), ("bias", float), ("scale", float),
+        ("trials", int), ("seed", int),
+    ]),
+    *(("radio-mc", name, kind) for name, kind in [
+        ("n", int), ("alpha", float), ("trials", int), ("seed", int),
+    ]),
+]
+REQUIRED = {
+    "counterexample": ["--lambda=1", "--mu=2"],
+    "covering-mc": ["--n=2", "--regions=3", "--trials=1"],
+    "radio-mc": ["--n=3", "--alpha=0.5", "--trials=1"],
+}
+
+
+def converts(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(NUMERIC_FLAGS), text=st.text())
+@example(target=("covering-mc", "n", int), text="1.5")
+@example(target=("analyze", "tie-tol", float), text="0.1\nerror: two lines")
+def test_text_is_rejected_on_one_line(game_path, target, text):
+    command, name, kind = target
+    # Text that converts is a number, which the tests above draw: a digit
+    # string such as 999999999 for --trials would run for hours.
+    assume(not converts(kind, text))
+    required = REQUIRED.get(command, ["--input", game_path])
+    code, lines = run([command, *required, f"--{name}={text}"])
+    assert code == 1
+    assert lines[0].startswith(f"error: sinkeq {command}: argument --{name}: "), lines

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinkeq.dynamics import BEST, BETTER, build_kernel, is_singleton_br
 from sinkeq.errors import (
@@ -28,6 +32,7 @@ from sinkeq.smoothness import (
     check_smoothness,
     measure_misalignment,
     multiplicative_sinking_bound,
+    MisalignmentReport,
     SLACK_TOL,
 )
 
@@ -162,6 +167,90 @@ class TestMisalignment:
             player, state = report.witness_arithmetic
             ratio = g.utilities[player][state] / g.welfare[state]
             assert abs(ratio - 1.0) == pytest.approx(report.beta_arithmetic)
+
+
+def reference_misalignment(game):
+    """The misalignment definitions applied pair by pair, in (player, state)
+    order; each extreme keeps its first pair."""
+    arith_bad = ratio_bad = None
+    deviation = low = high = None
+    for player in range(game.num_players):
+        bad_zero = nonpositive = None
+        for state in range(game.num_profiles):
+            w = float(game.welfare[state])
+            u = float(game.utilities[player][state])
+            if w == 0.0:
+                if u != 0.0 and bad_zero is None:
+                    bad_zero = (player, state)
+                continue
+            r = u / w
+            if r <= 0.0 and nonpositive is None:
+                nonpositive = (player, state)
+            if deviation is None or abs(r - 1.0) > deviation[0]:
+                deviation = (abs(r - 1.0), (player, state))
+            if low is None or r < low[0]:
+                low = (r, (player, state))
+            if high is None or r > high[0]:
+                high = (r, (player, state))
+        arith_bad = arith_bad or bad_zero
+        ratio_bad = ratio_bad or bad_zero or nonpositive
+    if deviation is None:  # no positive-welfare state: perfectly aligned
+        deviation, low, high = (0.0, None), (1.0, None), (1.0, None)
+
+    if arith_bad is not None:
+        arithmetic = (None, arith_bad)
+    elif not math.isfinite(deviation[0]):
+        arithmetic = (None, deviation[1])
+    else:
+        arithmetic = deviation
+    if ratio_bad is not None:
+        ratio = (None, ratio_bad)
+    else:
+        from_low, from_high = 1.0 - low[0], 1.0 - 1.0 / high[0]
+        ratio = (from_low, low[1]) if from_low >= from_high else (from_high, high[1])
+        if not ratio[0] < 1.0:
+            ratio = (None, ratio[1])
+    return MisalignmentReport(*arithmetic, *ratio)
+
+
+# Integer ties, zero welfare, negative utilities, and ratios that underflow,
+# overflow or round to the ends of the ratio notion's range.
+WELFARE = [0.0, 1.0, 2.0, 3.0, 0.5, 5e-324, 1e-320, 1e-300, 1e-20, 1e20, 1e300, 1.7e308]
+UTILITY = [0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 5e-324, 1e-300, 1e-20, -1e-20,
+           1e20, 1e300, -1e300, 1.7e308]
+
+
+@st.composite
+def misaligned_games(draw):
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    total = math.prod(counts)
+    # Half the games keep every entry positive, so the ratio notion is
+    # defined unless rounding takes it out of range.
+    positive = draw(st.booleans())
+    welfare = st.sampled_from([w for w in WELFARE if w > 0] if positive else WELFARE)
+    utility = st.one_of(
+        st.sampled_from([u for u in UTILITY if u > 0] if positive else UTILITY),
+        st.integers(1 if positive else -3, 3).map(float),
+    )
+    return NormalFormGame(
+        counts,
+        draw(st.lists(welfare, min_size=total, max_size=total)),
+        [draw(st.lists(utility, min_size=total, max_size=total)) for _ in counts],
+    )
+
+
+class TestMisalignmentOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(game=misaligned_games())
+    @example(game=NormalFormGame((2,), [1.0, 1.0], [[1.0, 1e-20]]))
+    @example(game=NormalFormGame((2,), [1.0, 1e-320], [[1.0, -1.0]]))
+    @example(game=NormalFormGame((2, 2), [1.0, 2.0, 1.0, 2.0], [[2.0, 4.0, 0.5, 1.0]] * 2))
+    @example(game=NormalFormGame((2,), [0.0, 0.0], [[0.0, 0.0]]))
+    def test_matches_the_definitions(self, game):
+        report = measure_misalignment(game)
+        assert report == reference_misalignment(game)
+        assert report.beta_arithmetic is None or math.isfinite(report.beta_arithmetic)
+        assert report.beta_geometric is None or 0.0 <= report.beta_geometric < 1.0
 
 
 class TestBoundFormulas:
