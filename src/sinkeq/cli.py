@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -40,8 +42,49 @@ from .sinks import sink_equilibria
 from .smoothness import best_smoothness, bound_report, check_smoothness
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    That call skips CPython's C encoder, so the long lists of a report are
+    joined here in one pass each instead: a list of plain ints or finite
+    floats by ``repr``, any other list of scalars by ``json.dumps`` per item,
+    and a list of equal-length rows of plain ints (sink coordinates) by one
+    ``%``-format.  ``indent`` is the newline and indentation of ``obj``'s line.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # Like json, sort the items and write a key that is not a string as
+        # the string of its JSON value.
+        items = (
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+            for k, v in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    inner = indent + "  "
+    kinds = set(map(type, obj))
+    if kinds <= {list, tuple} and len(set(map(len, obj))) == 1:
+        flat = tuple(chain.from_iterable(obj))
+        if set(map(type, flat)) == {int}:
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%d"] * len(obj[0])) + inner + "]"
+            return "[" + inner + ("," + inner).join([row] * len(obj)) % flat + indent + "]"
+    if any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
+        items = [_json_text(x, inner) for x in obj]
+    elif kinds == {int} or kinds == {float} and all(map(math.isfinite, obj)):
+        items = map(repr, obj)
+    else:
+        items = map(json.dumps, obj)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _joint_dict(ja: JointAction) -> dict:
@@ -64,7 +107,7 @@ def _analysis_dict(game: NormalFormGame, mode: str, tie_tol: float) -> dict:
         "sinks": [
             {
                 "support": eq.support,
-                "coords": [game.index_to_joint(s).coords for s in eq.support],
+                "coords": game.coords(eq.support),
                 "probabilities": eq.probabilities.tolist(),
                 "expected_welfare": eq.expected_welfare,
             }

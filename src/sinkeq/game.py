@@ -155,6 +155,12 @@ class NormalFormGame:
             rest //= c
         return JointAction(coords=tuple(coords), flat=flat)
 
+    def coords(self, states) -> list[list[int]]:
+        """Per-player action indices of each flat index in ``states``, as
+        lists: ``index_to_joint(s).coords`` for every ``s`` in one pass."""
+        states = np.asarray(states, dtype=np.int64)
+        return (states[:, None] // self.strides % self.action_counts).tolist()
+
     def joint(self, action: JointAction | Sequence[int] | int) -> JointAction:
         """Coerce a flat index, coordinate sequence, or JointAction."""
         if isinstance(action, JointAction):

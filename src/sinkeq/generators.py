@@ -385,8 +385,9 @@ def sample_radio_instance(
         raise InvalidParametersError("need at least two agents")
     if not 0.0 < alpha <= 1.0:
         raise InvalidParametersError("alpha must lie in (0, 1]")
-    # The estimates alone take num_agents**3 floats: refuse before drawing them.
-    _checked_profiles(1 << num_agents)
+    # The estimates alone take num_agents**3 floats: refuse before drawing
+    # them, and before a huge count makes the shift itself overflow.
+    _checked_profiles(1 << min(num_agents, MAX_PROFILES.bit_length()))
     rng = philox_rng(seed, 0)
     n = num_agents
     if weights is None:

@@ -22,6 +22,7 @@ from .dynamics import BEST, BETTER, build_kernel, is_singleton_br
 from .errors import (
     CertificateNotFoundError,
     InvalidParametersError,
+    NumericalFailureError,
     WitnessNotFoundError,
 )
 from .game import JointAction, NormalFormGame, optimal_profile, positive_optimum
@@ -145,9 +146,15 @@ def best_smoothness(
     CertificateNotFoundError
         If no finite certificate exists (a zero-welfare state with positive
         total deviation gain blocks every ``lam >= 0``).
+    NumericalFailureError
+        If the deviation totals, a tried ``mu`` or every slack of a tried
+        pair overflow the float range, which entries near 1e308 can cause;
+        a returned pair and its minimum slack are finite.
     """
     optimum, wopt = positive_optimum(game)
     deviation = _deviation_totals(game, optimum, common_interest)
+    if not np.all(np.isfinite(deviation)):
+        raise NumericalFailureError("deviation gains overflow the float range")
     welfare = game.welfare
     zero_tol = 1e-12 * max(1.0, wopt)
 
@@ -168,11 +175,16 @@ def best_smoothness(
         mu = lower if lower > 0.0 else min(1.0, upper)
         lam = rho * mu
         # Near an unattained supremum the minimal feasible mu blows up and
-        # rounding can push some slack below the validity tolerance; such a
-        # ratio is treated as infeasible so the returned pair always passes
-        # check_smoothness.
+        # rounding can push some slack below the validity tolerance, or
+        # overflow can make it NaN; such a ratio is treated as infeasible so
+        # the returned pair always passes check_smoothness.
         slack = mu * welfare - lam * wopt - deviation
-        if float(slack.min()) < -SLACK_TOL:
+        low = float(slack.min())
+        if mu == math.inf or low == math.inf:
+            raise NumericalFailureError(
+                f"smoothness certificate overflows the float range at ratio {rho!r}"
+            )
+        if not low >= -SLACK_TOL:
             return None
         return lam, mu
 

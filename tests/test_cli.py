@@ -106,6 +106,8 @@ class TestExitCodes:
         [
             ["radio-mc", "--n", "62", "--alpha", "0.8", "--trials", "1"],
             ["covering-mc", "--n", "16", "--regions", "8", "--trials", "1"],
+            # Beyond 2^64: refused before the 1 << n that would overflow.
+            ["radio-mc", "--n", "100000000000000000000", "--alpha", "0.5", "--trials", "1"],
         ],
     )
     def test_oversized_generated_game_is_exit_one(self, capsys, argv):
@@ -113,6 +115,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 1048576 joint actions" in err
+
+    @pytest.mark.parametrize("flags", [["smoothness"], ["smoothness", "--common-interest"], ["bounds"]])
+    def test_overflowing_deviation_gains_are_exit_three(self, capsys, tmp_path, flags):
+        # At (1, 1) both players lose 1.7e308 by moving to the optimum (0, 0),
+        # so the deviation total is -inf.
+        w = np.array([1.7e308, 1.7e308, 1.7e308, 0.0])
+        path = write_game(tmp_path, NormalFormGame((2, 2), w, np.vstack([w, w])))
+        code, out, err = run_cli(capsys, *flags, "--input", path)
+        assert code == 3 and out == ""
+        assert err == "error: deviation gains overflow the float range\n"
+
+    def test_overflowing_certificate_is_exit_three(self, capsys, tmp_path):
+        # Player 0 gains 1e308 at (1, 0), whose welfare is 0.5: mu >= 2e308.
+        w = np.array([1.0, 0.5, 0.5, 0.5])
+        u = np.array([[0.0, 1e308, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        path = write_game(tmp_path, NormalFormGame((2, 2), w, u))
+        code, out, err = run_cli(capsys, "smoothness", "--input", path)
+        assert code == 3 and out == ""
+        assert err == "error: smoothness certificate overflows the float range at ratio 0.0\n"
 
     def test_json_parse_error_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -109,7 +109,13 @@ def test_negative_zero_scale_is_zero(capsys):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(-1, 6), alpha=floats, trials=st.integers(-1, 3), seed=seeds)
+@given(
+    n=st.one_of(st.integers(-1, 6), st.integers(2**64, 2**80)),
+    alpha=floats,
+    trials=st.integers(-1, 3),
+    seed=seeds,
+)
+@example(n=10**20, alpha=0.5, trials=1, seed=0)
 @example(n=3, alpha=0.0, trials=1, seed=0)
 @example(n=3, alpha=-1.0, trials=1, seed=0)
 @example(n=3, alpha=math.nan, trials=1, seed=0)
@@ -120,8 +126,30 @@ def test_radio_mc(n, alpha, trials, seed):
         ["radio-mc", flag("n", n), flag("alpha", alpha), flag("trials", trials),
          flag("seed", seed)]
     )
-    if seed < 0 or not 0.0 < alpha <= 1.0:
+    if seed < 0 or not 0.0 < alpha <= 1.0 or n > 6:
         assert code == 1
+
+
+def test_entries_near_the_float_limit(tmp_path):
+    """Reports on seeded games with entries up to 1.7e308 hold no NaN or
+    Infinity.  Where the deviation gains or a tried certificate overflow, the
+    command refuses the game on one line with exit code 3; both cases occur."""
+    errors = set()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        w = rng.random(16)
+        if seed >= 2:
+            w[rng.random(16) < 0.2] = 0.0
+        u = rng.random((2, 16)) if seed % 2 == 0 else rng.uniform(-1.0, 1.0, size=(2, 16))
+        for w_max, u_max in [(1.7e308, 1.7e308), (1.0, 1.7e308), (1.7e308, 1.0), (1e300, 1e308)]:
+            game = NormalFormGame((4, 4), w / w.max() * w_max, u / np.abs(u).max() * u_max)
+            path = tmp_path / f"game-{seed}-{w_max}-{u_max}.json"
+            path.write_text(json.dumps(game_to_dict(game)))
+            for argv in (["smoothness"], ["smoothness", "--common-interest"], ["bounds"], ["analyze"]):
+                code, lines = run([*argv, "--input", str(path)])
+                errors.update((code, line.split(" at ")[0]) for line in lines)
+    assert (3, "error: deviation gains overflow the float range") in errors
+    assert (3, "error: smoothness certificate overflows the float range") in errors
 
 
 # Each numeric flag, and the other arguments its command needs.

@@ -90,6 +90,17 @@ class TestIndexing:
             assert g.joint_to_index(ja.coords) == flat
             assert all(c < n for c, n in zip(ja.coords, counts))
 
+    @pytest.mark.parametrize("counts", [(1,), (4,), (1, 1), (3, 1, 2), (2, 5, 1, 3), (6, 6, 6, 10)])
+    def test_coords_match_index_to_joint(self, counts):
+        total = int(np.prod(counts))
+        g = NormalFormGame(counts, np.zeros(total), np.zeros((len(counts), total)))
+        states = np.arange(total)
+        expected = [list(g.index_to_joint(s).coords) for s in states]
+        assert g.coords(states) == expected
+        assert g.coords(tuple(states[::-3])) == expected[::-3]
+        assert g.coords(np.array([], dtype=np.int64)) == []
+        assert g.coords(()) == []
+
     def test_deviation_map(self):
         g = two_by_two_common()
         states = np.arange(g.num_profiles)
