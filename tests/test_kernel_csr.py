@@ -270,8 +270,9 @@ def test_csr_invariants(game, case):
 @settings(max_examples=150, deadline=None)
 @given(games(), st.sampled_from(CASES))
 def test_every_state_of_a_multi_state_sink_has_a_self_loop(game, case):
-    # The stationary solver iterates P itself, not the lazy (P+I)/2, when
-    # this holds: a positive diagonal makes the sink's chain aperiodic.
+    # The stationary solver's Jacobi step divides these self-loops out, as
+    # stepping with P itself would leave their mass in place each step.  Its
+    # damping, not this diagonal, keeps the step aperiodic.
     kernel = build_kernel(game, *case)
     src = np.repeat(np.arange(kernel.num_states), np.diff(kernel.indptr))
     looped = np.zeros(kernel.num_states, dtype=bool)

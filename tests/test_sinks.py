@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sinkeq.sinks as sinks
 from sinkeq.dynamics import BEST, BETTER, TransitionKernel, best_response_set, build_kernel, is_singleton_br
@@ -109,7 +112,8 @@ class TestStationary:
 
     def test_periodic_chain_takes_the_lazy_step(self):
         # No self-loops and period 2: from the uniform start, iterating P
-        # alone would swap mass between {0, 2} and {1} forever.
+        # alone, or the undamped Jacobi step, would swap mass between {0, 2}
+        # and {1} forever; the damped step converges.
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {1: 1.0}])
         np.testing.assert_allclose(
             stationary_distribution(k, (0, 1, 2)), [0.25, 0.5, 0.25], rtol=0, atol=1e-12
@@ -119,6 +123,18 @@ class TestStationary:
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
         with pytest.raises(InvalidParametersError):
             stationary_distribution(k, (0, 1))
+
+    def test_support_with_an_absorbing_state_is_rejected(self):
+        # Closed, but state 1 is a sink of its own, so (0, 1) is no SCC; the
+        # Jacobi step would divide by 1 - d = 0 there.
+        k = hand_kernel([{1: 1.0}, {1: 1.0}])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidParametersError,
+                match=r"^support is not a sink: state 1 only loops to itself$",
+            ):
+                stationary_distribution(k, (0, 1))
 
     def test_residual_and_positivity_on_random_games(self):
         rng = philox_rng(32, 0)
@@ -262,16 +278,16 @@ def dense_solve(matrix):
 
 
 def dense_power_iteration(matrix):
-    """The solver's iteration with dense products: P itself when every state
-    has a self-loop, else the lazy chain (P+I)/2, stopped once
-    max |pi P - pi| <= POWER_TOL."""
-    lazy = not np.all(np.diag(matrix) > 0.0)
+    """The solver's iteration with dense products: the damped Jacobi step
+    pi <- (1 - w) pi + w (pi P - d pi) / (1 - d), d the diagonal of P,
+    renormalized, stopped once max |pi P - pi| <= POWER_TOL."""
+    omega, d = sinks._OMEGA, np.diag(matrix)
     pi = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
     for _ in range(sinks.POWER_MAX_STEPS):
         product = pi @ matrix
         if np.max(np.abs(product - pi)) <= sinks.POWER_TOL:
             return pi / pi.sum()
-        pi = 0.5 * (pi + product) if lazy else product
+        pi = (1 - omega) * pi + omega * (product - d * pi) / (1 - d)
         pi = pi / pi.sum()
     pytest.fail("dense power iteration did not converge")
 
@@ -299,6 +315,59 @@ def large_sink():
     (support,) = sink_components(kernel)
     assert len(support) > 2000
     return kernel, support
+
+
+@st.composite
+def irreducible_chains(draw):
+    """Rows of an irreducible chain on 2-12 states: a cycle through every
+    state plus extra edges, in one of three families.
+
+    * periodic: period p in 2..4, states in p classes, every edge from one
+      class to the next, so no self-loops;
+    * loopless: extra edges anywhere but the diagonal;
+    * near-cycle: the cycle edge holds all but 1e-6..1e-2 of each row, with
+      or without self-loops among the extras.
+    """
+    family = draw(st.sampled_from(["periodic", "loopless", "near-cycle"]))
+    if family == "periodic":
+        period = draw(st.integers(2, 4))
+        k = period * draw(st.integers(1, 12 // period))
+    else:
+        k = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(k)))
+    position = {state: i for i, state in enumerate(order)}
+    eps = draw(st.floats(1e-6, 1e-2))
+    rows = []
+    for state in range(k):
+        following = order[(position[state] + 1) % k]
+        if family == "periodic":
+            allowed = [t for t in range(k) if position[t] % period == (position[state] + 1) % period]
+        elif family == "loopless":
+            allowed = [t for t in range(k) if t != state]
+        else:
+            allowed = list(range(k))
+        extras = draw(st.sets(st.sampled_from(allowed), max_size=3)) - {following}
+        if family == "near-cycle":
+            weights = {t: eps / len(extras) for t in extras}
+            weights[following] = 1.0 - eps if extras else 1.0
+        else:
+            weights = {t: draw(st.floats(0.05, 1.0)) for t in extras | {following}}
+            total = sum(weights.values())
+            weights = {t: w / total for t, w in weights.items()}
+        rows.append(weights)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(irreducible_chains())
+def test_irreducible_chains_match_a_dense_solve(rows):
+    kernel = hand_kernel(rows)
+    support = tuple(range(len(rows)))
+    pi = stationary_distribution(kernel, support)
+    assert pi.min() > 0.0
+    np.testing.assert_allclose(
+        pi, dense_solve(dense_matrix(kernel, support)), rtol=0, atol=STATIONARY_TOL
+    )
 
 
 class TestPowerPath:
@@ -335,6 +404,20 @@ class TestPowerPath:
         assert abs(pi.sum() - 1.0) <= 1e-12
         assert np.max(np.abs(pi @ matrix - pi)) <= STATIONARY_TOL
         np.testing.assert_allclose(pi, dense_solve(matrix), rtol=0, atol=STATIONARY_TOL)
+
+    def test_large_sink_takes_at_most_80_products(self, large_sink, monkeypatch):
+        # The damped Jacobi step takes 55 products here, the certificate's
+        # included; stepping with P itself took 175.
+        products = []
+        left_product = sinks._left_product
+
+        def counted(pi, triples):
+            products.append(pi.size)
+            return left_product(pi, triples)
+
+        monkeypatch.setattr(sinks, "_left_product", counted)
+        stationary_distribution(*large_sink)
+        assert 0 < len(products) <= 80
 
     def test_allocates_no_dense_matrix(self, large_sink):
         kernel, support = large_sink
