@@ -97,19 +97,51 @@ def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     return [components[cid] for cid in np.flatnonzero(~escapes).tolist()]
 
 
-# Sweeps over the edges that the coloring in ``sink_components`` may make
-# before it hands the kernel to ``_tarjan``.  On the 12-player interference
-# games one sweep costs about E x 6 ns and ``_tarjan`` about E x 470 ns, so
-# 80 sweeps cost about one Tarjan pass, and a kernel that runs out of budget
-# takes about twice as long as Tarjan alone (up to 2.3 times on rows of one
-# or two edges, where reduceat's cost per row dominates).  The sweeps needed
-# grow with the length of response paths, which nothing bounds.
+# Sweeps over the edges that ``sink_components`` may make, marking and
+# coloring together, before it hands the kernel to ``_tarjan``.  On the
+# 12-player interference games one coloring sweep costs about E x 6 ns and
+# ``_tarjan`` about E x 470 ns, so 80 sweeps cost about one Tarjan pass, and
+# a kernel that runs out of budget takes about twice as long as Tarjan alone
+# (up to 2.3 times on rows of one or two edges, where reduceat's cost per
+# row dominates).  The sweeps needed grow with the length of response paths,
+# which nothing bounds.
 _SWEEP_BUDGET = 80
 
 
-def _colored_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]] | None:
+def _absorbing_sinks(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]] | None, int]:
+    """The absorbing states as one-state sinks, in increasing order, when
+    every state reaches one of them, else None; with the sweeps spent.
+
+    An absorbing state's row holds only its self-loop.  Each sweep marks the
+    states with an edge into a marked one.  A state of a multi-state sink
+    reaches no absorbing state, as its sink is closed, so once every state
+    is marked the absorbing states are all the sinks.  Stops unsettled when
+    a sweep marks nothing new or the sweeps would exceed ``_SWEEP_BUDGET``;
+    needs a kernel with no empty row, as ``_colored_sinks`` does.
+    """
+    indptr, indices = kernel.indptr, kernel.indices
+    single = np.flatnonzero(np.diff(indptr) == 1)
+    absorbing = single[indices[indptr[single]] == single]
+    if not absorbing.size:
+        return None, 0
+    marked = np.zeros(kernel.num_states, dtype=bool)
+    marked[absorbing] = True
+    count, sweeps = absorbing.size, 0
+    while count < kernel.num_states:
+        if sweeps == _SWEEP_BUDGET:
+            return None, sweeps
+        sweeps += 1
+        marked |= np.logical_or.reduceat(marked[indices], indptr[:-1])
+        grown = int(np.count_nonzero(marked))
+        if grown == count:
+            return None, sweeps
+        count = grown
+    return [(s,) for s in absorbing.tolist()], sweeps
+
+
+def _colored_sinks(kernel: TransitionKernel, budget: int) -> list[tuple[int, ...]] | None:
     """Sinks by reachability coloring (Orzan 2004), in no particular order,
-    or None once the sweeps would exceed ``_SWEEP_BUDGET``.
+    or None once the sweeps would exceed ``budget``.
 
     Needs a kernel with no empty row, as every stochastic kernel is:
     ``np.maximum.reduceat`` reads an empty row as the next row's first entry.
@@ -122,7 +154,7 @@ def _colored_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]] | None:
     # (color[v] == v) reaches nothing above itself.
     color = states
     while True:
-        if sweeps == _SWEEP_BUDGET:
+        if sweeps == budget:
             return None
         sweeps += 1
         grown = np.maximum(color, np.maximum.reduceat(color[indices], indptr[:-1]))
@@ -141,7 +173,7 @@ def _colored_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]] | None:
     reached = color == states
     frontier = reached.copy()
     while True:
-        if sweeps == _SWEEP_BUDGET:
+        if sweeps == budget:
             return None
         sweeps += 1
         hits = heads[frontier[tails]]
@@ -168,11 +200,17 @@ def _colored_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]] | None:
 def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     """SCCs with no outgoing transition, ordered by their smallest state.
 
-    Colors every state by reachability in a few numpy sweeps over the CSR
-    arrays; a kernel that needs more than ``_SWEEP_BUDGET`` sweeps goes to
-    ``_tarjan`` instead.
+    First trims the absorbing states, whose row holds only their self-loop,
+    and marks every state that reaches one in numpy sweeps over the CSR
+    arrays; when that marks every state, the absorbing states are the sinks.
+    Otherwise colors every state by reachability in a few more sweeps.  The
+    marking and the coloring share ``_SWEEP_BUDGET`` sweeps; a kernel that
+    needs more goes to ``_tarjan`` instead.
     """
-    sinks = _colored_sinks(kernel)
+    sinks, spent = _absorbing_sinks(kernel)
+    if sinks is not None:
+        return sinks
+    sinks = _colored_sinks(kernel, _SWEEP_BUDGET - spent)
     if sinks is None:
         sinks = _tarjan_sinks(kernel)
     sinks.sort(key=lambda comp: comp[0])
@@ -184,19 +222,20 @@ def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _support_triples(kernel: TransitionKernel, support: tuple[int, ...]) -> Triples:
-    """Entries of the chain on a sorted, closed support, gathered from the
-    kernel's CSR rows in row order."""
-    k = len(support)
-    rows = np.asarray(support)
+def _support_triples(kernel: TransitionKernel, rows: np.ndarray) -> Triples:
+    """Entries of the chain on a support of distinct states, given in
+    increasing order, gathered from the kernel's CSR rows in row order."""
     starts = kernel.indptr[rows]
     lengths = kernel.indptr[rows + 1] - starts
     # CSR positions of every entry in the support's rows, row after row.
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     edge = np.arange(offsets.size) + offsets
     targets = kernel.indices[edge]
-    cols = np.searchsorted(rows, targets)
-    leaving = np.flatnonzero(rows[np.minimum(cols, k - 1)] != targets)
+    # Local column of every state, -1 outside the support.
+    local = np.full(kernel.num_states, -1)
+    local[rows] = np.arange(rows.size)
+    cols = local[targets]
+    leaving = np.flatnonzero(cols < 0)
     if leaving.size:
         first = leaving[0]
         raise InvalidParametersError(
@@ -281,19 +320,40 @@ def stationary_distribution(
     normalized vector is then certified against STATIONARY_TOL on the same
     rows.  The products are ordered ``np.bincount`` sums with no BLAS call,
     so the bits do not depend on the BLAS library or its thread count.
+    The support lists distinct integer states of the kernel, in any order;
+    anything else is refused.  A one-state support is closed only when its
+    row is its self-loop alone, and needs no solve.
     """
-    support = tuple(sorted(int(s) for s in support))
-    if not support:
-        raise InvalidParametersError("support must be nonempty")
-    triples = _support_triples(kernel, support)
-    if len(support) == 1:
+    rows = np.asarray(support)
+    if rows.ndim != 1 or not rows.size:
+        raise InvalidParametersError("support must be a nonempty sequence of states")
+    if rows.dtype.kind not in "iu":
+        raise InvalidParametersError(f"support states must be integers, not {rows.dtype}")
+    rows = np.sort(rows).astype(np.int64)
+    if rows[0] < 0 or rows[-1] >= kernel.num_states:
+        bad = rows[0] if rows[0] < 0 else rows[-1]
+        raise InvalidParametersError(
+            f"support state {bad} is outside [0, {kernel.num_states})"
+        )
+    repeats = np.flatnonzero(rows[1:] == rows[:-1])
+    if repeats.size:
+        raise InvalidParametersError(f"support repeats state {rows[repeats[0]]}")
+    if rows.size == 1:
+        state = int(rows[0])
+        row = kernel.indices[kernel.indptr[state] : kernel.indptr[state + 1]]
+        leaving = row[row != state]
+        if leaving.size:
+            raise InvalidParametersError(
+                f"support is not closed: {state} -> {leaving[0]} leaves it"
+            )
         return np.array([1.0])
 
-    d = _diagonal(triples, len(support))
+    triples = _support_triples(kernel, rows)
+    d = _diagonal(triples, rows.size)
     stuck = np.flatnonzero(d >= 1.0)
     if stuck.size:
         raise InvalidParametersError(
-            f"support is not a sink: state {support[stuck[0]]} only loops to itself"
+            f"support is not a sink: state {rows[stuck[0]]} only loops to itself"
         )
     pi = _power_iteration(triples, d)
     total = pi.sum()

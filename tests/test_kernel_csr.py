@@ -124,21 +124,49 @@ def count_tarjan_calls(monkeypatch):
     return calls
 
 
+def count_coloring_calls(monkeypatch):
+    calls = []
+
+    def counted(kernel, budget):
+        calls.append(budget)
+        return colored(kernel, budget)
+
+    colored = sinks._colored_sinks
+    monkeypatch.setattr(sinks, "_colored_sinks", counted)
+    return calls
+
+
+def assert_every_path_finds(kernel, expected):
+    """The trimmed path, the coloring with trimming bypassed and the Tarjan
+    pass forced all give the expected sinks."""
+    assert sink_components(kernel) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        # Unbounded, the marking settles exactly the kernels whose sinks are
+        # all single states.
+        patch.setattr(sinks, "_SWEEP_BUDGET", 10**6)
+        trimmed, _ = sinks._absorbing_sinks(kernel)
+        assert trimmed == (expected if all(len(c) == 1 for c in expected) else None)
+    assert sorted(sinks._colored_sinks(kernel, 10**6)) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        # With no sweeps to spend, a kernel that needs a sweep takes the
+        # Tarjan fallback; one whose states are all absorbing needs none.
+        patch.setattr(sinks, "_SWEEP_BUDGET", 0)
+        calls = count_tarjan_calls(patch)
+        assert sink_components(kernel) == expected
+        all_absorbing = expected == [(s,) for s in range(kernel.num_states)]
+        assert calls == ([] if all_absorbing else [kernel.num_states])
+    assert sorted(sinks._tarjan_sinks(kernel)) == expected
+
+
 @pytest.mark.parametrize("mode,tie_tol", CASES)
-def test_components_match_networkx(mode, tie_tol, monkeypatch):
+def test_components_match_networkx(mode, tie_tol):
     for game in GAMES:
         kernel = build_kernel(game, mode, tie_tol)
         graph = networkx_graph(kernel)
         sccs = {tuple(sorted(c)) for c in nx.strongly_connected_components(graph)}
         expected = sorted(tuple(sorted(c)) for c in nx.attracting_components(graph))
         assert set(_tarjan(kernel)[0]) == sccs
-        assert sink_components(kernel) == expected
-        # With no sweeps to spend, every kernel takes the Tarjan fallback.
-        with monkeypatch.context() as patch:
-            patch.setattr(sinks, "_SWEEP_BUDGET", 0)
-            calls = count_tarjan_calls(patch)
-            assert sink_components(kernel) == expected
-            assert calls == [kernel.num_states]
+        assert_every_path_finds(kernel, expected)
 
 
 def staircase_game(m):
@@ -152,12 +180,45 @@ def staircase_game(m):
     return NormalFormGame((m, m), row + col, np.vstack([row, col]))
 
 
+class CountingSweeps:
+    """Stands in for numpy in ``sinkeq.sinks`` and counts the ``reduceat``
+    calls, one per marking sweep and one per coloring sweep of step (a)."""
+
+    def __init__(self):
+        self.sweeps = 0
+        counter = self
+
+        class Ufunc:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def reduceat(self, *args, **kwargs):
+                counter.sweeps += 1
+                return self.ufunc.reduceat(*args, **kwargs)
+
+        self.logical_or = Ufunc(np.logical_or)
+        self.maximum = Ufunc(np.maximum)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 def test_long_staircase_takes_the_tarjan_fallback(monkeypatch):
-    # 4,096 states whose colors need about 2 * 64 sweeps, beyond the budget.
+    # 4,096 states that reach the absorbing equilibrium along a path of 126
+    # moves, so the marking needs more sweeps than the budget holds.
     kernel = build_kernel(staircase_game(64), BEST)
     calls = count_tarjan_calls(monkeypatch)
+    colorings = count_coloring_calls(monkeypatch)
+    counter = CountingSweeps()
+    monkeypatch.setattr(sinks, "np", counter)
     found = sink_components(kernel)
+    monkeypatch.undo()
     assert calls == [kernel.num_states]
+    assert 0 < counter.sweeps <= sinks._SWEEP_BUDGET
+    assert colorings in ([], [0])
     assert found == networkx_sinks(kernel)
     assert (63 + 63 * 64,) in found
 
@@ -197,22 +258,21 @@ def chains(draw):
 @settings(max_examples=300, deadline=None)
 @given(chains())
 def test_coloring_and_tarjan_agree_with_networkx(kernel):
-    expected = networkx_sinks(kernel)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sinks, "_SWEEP_BUDGET", 10**6)
-        colored = sinks._colored_sinks(kernel)
-    assert sorted(colored) == expected
-    assert sorted(sinks._tarjan_sinks(kernel)) == expected
-    assert sink_components(kernel) == expected
+    assert_every_path_finds(kernel, networkx_sinks(kernel))
+
+
+def radio_pool_kernels(seed):
+    """The best-response kernels of the benchmark's 12-player radio pool."""
+    for i in range(15):
+        game = make_radio_game(sample_radio_instance(12, 0.8, seed * 15 + i))
+        yield build_kernel(game, BEST)
 
 
 def benchmark_pool_kernels():
     """The response kernels that the benchmark's three workloads analyze,
     on seeds 1 and 1009."""
     for seed in (1, 1009):
-        for i in range(15):
-            game = make_radio_game(sample_radio_instance(12, 0.8, seed * 15 + i))
-            yield build_kernel(game, BEST)
+        yield from radio_pool_kernels(seed)
         rng = philox_rng(seed, 0)
         found = 0
         while found < 10:
@@ -226,6 +286,15 @@ def benchmark_pool_kernels():
             for trial in range(50):
                 instance = sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(master, trial))
                 yield build_kernel(make_covering_game(instance), BEST)
+
+
+def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):
+    # Every sink of these games is a pure equilibrium, an absorbing state.
+    colorings = count_coloring_calls(monkeypatch)
+    for seed in (1, 1009):
+        for kernel in radio_pool_kernels(seed):
+            assert all(len(sink) == 1 for sink in sink_components(kernel))
+    assert colorings == []
 
 
 def test_benchmark_pools_take_no_fallback(monkeypatch):

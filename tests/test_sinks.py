@@ -136,6 +136,34 @@ class TestStationary:
             ):
                 stationary_distribution(k, (0, 1))
 
+    def test_repeated_state_is_rejected(self):
+        k = hand_kernel([{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}])
+        with pytest.raises(InvalidParametersError, match=r"^support repeats state 0$"):
+            stationary_distribution(k, (0, 0, 1))
+
+    @pytest.mark.parametrize("support,bad", [((-1, 0, 1), -1), ((0, 1, 2), 2)])
+    def test_state_outside_the_kernel_is_rejected(self, support, bad):
+        k = hand_kernel([{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}])
+        with pytest.raises(
+            InvalidParametersError, match=rf"^support state {bad} is outside \[0, 2\)$"
+        ):
+            stationary_distribution(k, support)
+
+    def test_non_integral_state_is_rejected(self):
+        k = hand_kernel([{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}])
+        with pytest.raises(
+            InvalidParametersError, match=r"^support states must be integers, not float64$"
+        ):
+            stationary_distribution(k, (0, 0.5))
+
+    def test_one_state_support_must_be_its_own_self_loop(self):
+        k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
+        np.testing.assert_array_equal(stationary_distribution(k, [np.int32(2)]), [1.0])
+        with pytest.raises(
+            InvalidParametersError, match=r"^support is not closed: 1 -> 0 leaves it$"
+        ):
+            stationary_distribution(k, (1,))
+
     def test_residual_and_positivity_on_random_games(self):
         rng = philox_rng(32, 0)
         for _ in range(20):
