@@ -9,6 +9,7 @@ from .dynamics import (
     better_response_set,
     build_kernel,
     is_singleton_br,
+    stack_kernels,
 )
 from .errors import (
     CertificateNotFoundError,
@@ -57,10 +58,13 @@ from .generators import (
 )
 from .sinks import (
     SinkEquilibrium,
+    batch_price_of_sinking,
+    batch_sink_equilibria,
     price_of_sinking,
     sink_components,
     sink_equilibria,
     stationary_distribution,
+    stationary_distributions,
 )
 from .smoothness import (
     BoundReport,

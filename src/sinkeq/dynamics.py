@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -149,6 +149,28 @@ def build_kernel(
         indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
         indices=dst[order],
         probs=np.concatenate(probs)[order],
+    )
+    for arr in (kernel.indptr, kernel.indices, kernel.probs):
+        arr.setflags(write=False)
+    return kernel
+
+
+def stack_kernels(kernels: Sequence[TransitionKernel]) -> TransitionKernel:
+    """Block-diagonal kernel of ``kernels``: each one's states follow those
+    of the kernels before it, and no edge joins two blocks.  One kernel is
+    returned as it is."""
+    if len(kernels) == 1:
+        return kernels[0]
+    state_offsets = np.cumsum([0] + [k.num_states for k in kernels])
+    edge_offsets = np.cumsum([0] + [k.indices.size for k in kernels])
+    kernel = TransitionKernel(
+        indptr=np.concatenate(
+            [[0]] + [k.indptr[1:] + e for k, e in zip(kernels, edge_offsets.tolist())]
+        ),
+        indices=np.concatenate(
+            [k.indices + s for k, s in zip(kernels, state_offsets.tolist())]
+        ),
+        probs=np.concatenate([k.probs for k in kernels]),
     )
     for arr in (kernel.indptr, kernel.indices, kernel.probs):
         arr.setflags(write=False)

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .dynamics import BEST, is_singleton_br
 from .errors import GameAnalysisError, InvalidParametersError, ValidationError
 from .game import NormalFormGame, enumerate_nash
-from .sinks import price_of_sinking
+from .sinks import batch_price_of_sinking, price_of_sinking
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
 
 BOUND_TOL = 1e-9
@@ -179,14 +180,22 @@ def sample_covering_estimates(instance: CoveringInstance) -> np.ndarray:
     )
 
 
+# Most table entries ``make_covering_game`` gathers into one block for its
+# union sums, which bounds the memory a block takes (8 MB).
+_SUM_BLOCK = 1 << 20
+
+
 def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     """Welfare sums true values over the union of chosen subsets; each agent's
     utility sums its own estimates over the same union.
 
     Profiles share few distinct unions, so each distinct union is summed once
-    and scattered back to its profiles.  The sums stay ``x[mask].sum()``: an
-    axis reduction over a table of masks adds in another order and moves the
-    last bits.
+    and scattered back to its profiles.  Unions of k regions are summed
+    together: their entries of every table are gathered into one C-contiguous
+    ``(tables, unions, k)`` block and summed along its last axis, which adds
+    in the order of ``x[mask].sum()``.  An axis reduction over a table of
+    masks, or over a block that is not C-contiguous, adds in another order
+    and moves the last bits.
     """
     counts = tuple(len(opts) for opts in instance.options)
     total = _checked_profiles(math.prod(counts))
@@ -217,10 +226,18 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     distinct, inverse = np.unique(keys, return_inverse=True)
     bits = distinct.view(np.uint8).reshape(len(distinct), -1)
     covered = np.unpackbits(bits, axis=1, count=m).astype(bool)
-    welfare = np.array([values[mask].sum() for mask in covered])
-    utilities = np.array([[own[mask].sum() for mask in covered] for own in estimates])
+    tables = np.vstack([values, estimates])
+    sums = np.empty((len(tables), len(covered)))
+    sizes = covered.sum(axis=1)
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        group = np.flatnonzero(sizes == k)
+        chunk = max(1, _SUM_BLOCK // (len(tables) * max(k, 1)))
+        for lo in range(0, group.size, chunk):
+            rows = group[lo : lo + chunk]
+            cols = np.nonzero(covered[rows])[1].reshape(rows.size, k)
+            sums[:, rows] = np.ascontiguousarray(tables[:, cols]).sum(axis=-1)
     return NormalFormGame(
-        action_counts=counts, welfare=welfare[inverse], utilities=utilities[:, inverse]
+        action_counts=counts, welfare=sums[0, inverse], utilities=sums[1:, inverse]
     )
 
 
@@ -405,19 +422,29 @@ def sample_radio_instance(
     )
 
 
+# States per block of ``make_radio_game``'s tables: a block's ``split``
+# table takes n^2 bytes a state, 3.3 MB at 20 agents.
+_RADIO_BLOCK = 1 << 13
+
+
 def make_radio_game(instance: RadioInstance) -> NormalFormGame:
     """Each agent picks one of two channels; welfare totals the interference
-    weight avoided by every ordered pair on different channels."""
+    weight avoided by every ordered pair on different channels.
+
+    The tables are built ``_RADIO_BLOCK`` states at a time, so the pair
+    table of a block, not of the whole game, bounds the memory; each
+    state's sums do not depend on the block."""
     n = instance.num_agents
     total = _checked_profiles(1 << n)
-    states = np.arange(total)
-    channels = (states[:, None] >> np.arange(n)[None, :]) & 1
-    split = channels[:, :, None] != channels[:, None, :]
-
-    welfare = np.einsum("alj,lj->a", split, instance.weights)
+    welfare = np.empty(total)
     utilities = np.empty((n, total))
-    for i in range(n):
-        utilities[i] = np.einsum("alj,lj->a", split, instance.estimates[i])
+    for lo in range(0, total, _RADIO_BLOCK):
+        hi = min(total, lo + _RADIO_BLOCK)
+        channels = (np.arange(lo, hi)[:, None] >> np.arange(n)[None, :]) & 1
+        split = channels[:, :, None] != channels[:, None, :]
+        welfare[lo:hi] = np.einsum("alj,lj->a", split, instance.weights)
+        for i in range(n):
+            utilities[i, lo:hi] = np.einsum("alj,lj->a", split, instance.estimates[i])
 
     labels = tuple(("ch1", "ch2") for _ in range(n))
     return NormalFormGame(
@@ -614,6 +641,59 @@ def _trial_game(
     return make_radio_game(sample_radio_instance(spec.num_agents, spec.alpha, seed))
 
 
+# Most states a batch of Monte Carlo trials may hold; a larger trial is a
+# batch of its own.  One sink search and one stationary solve serve a whole
+# batch, which saves the per-call costs of small trials.  Time and peak
+# memory of 50-trial covering-mc runs by budget are in CHANGES.md: from 2^11
+# to 2^12 states ran fastest, and the peak grows with the budget.
+_BATCH_STATES = 1 << 11
+
+
+def _trial_pos(
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, master_seed: int, trial: int
+) -> float:
+    """One trial analyzed on its own, with its seed in any error."""
+    try:
+        game = _trial_game(spec, _trial_seed(master_seed, trial))
+        pos, _ = price_of_sinking(game, mode=BEST)
+    except GameAnalysisError as exc:
+        raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
+    return pos
+
+
+def _batches(games: Iterable[NormalFormGame]) -> Iterator[list[NormalFormGame]]:
+    """Consecutive games in batches of at most ``_BATCH_STATES`` states."""
+    batch: list[NormalFormGame] = []
+    states = 0
+    for game in games:
+        if batch and states + game.num_profiles > _BATCH_STATES:
+            yield batch
+            batch, states = [], 0
+        batch.append(game)
+        states += game.num_profiles
+    if batch:
+        yield batch
+
+
+def _trial_prices(
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, trials: int, master_seed: int
+) -> list[float]:
+    """Every trial's price of sinking, from batches of consecutive trials.
+
+    After an error, drawing a game or analyzing a batch, the trials not yet
+    priced run again one at a time, so the first failing trial reports, as
+    when every trial runs on its own.
+    """
+    prices: list[float] = []
+    games = (_trial_game(spec, _trial_seed(master_seed, t)) for t in range(trials))
+    try:
+        for batch in _batches(games):
+            prices += [pos for pos, _ in batch_price_of_sinking(batch, mode=BEST)]
+    except GameAnalysisError:
+        prices += [_trial_pos(spec, master_seed, t) for t in range(len(prices), trials)]
+    return prices
+
+
 def run_monte_carlo(
     spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
     trials: int,
@@ -623,26 +703,19 @@ def run_monte_carlo(
 
     Deterministic for a fixed ``master_seed``: trial t draws from the Philox
     stream keyed by ``SeedSequence(master_seed, spawn_key=(t,))`` regardless
-    of execution order.  A failing trial aborts the run with its seed in the
-    error message.
+    of execution order.  Trials are analyzed in batches, with the results
+    of analyzing each alone.  A failing trial aborts the run with its seed
+    in the error message.
     """
     if trials < 1:
         raise InvalidParametersError("need at least one trial")
     if master_seed < 0:
         raise InvalidParametersError("master_seed must be nonnegative")
     bound = _spec_bound(spec)
-    results = []
-    for trial in range(trials):
-        try:
-            game = _trial_game(spec, _trial_seed(master_seed, trial))
-            pos, _ = price_of_sinking(game, mode=BEST)
-        except GameAnalysisError as exc:
-            raise type(exc)(
-                f"trial {trial} (master_seed={master_seed}): {exc}"
-            ) from exc
-        results.append(
-            TrialResult(trial=trial, pos=pos, violation=pos < bound - BOUND_TOL)
-        )
+    results = [
+        TrialResult(trial=trial, pos=pos, violation=pos < bound - BOUND_TOL)
+        for trial, pos in enumerate(_trial_prices(spec, trials, master_seed))
+    ]
     pos = np.array([r.pos for r in results])
     std_err = float(np.std(pos, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloSummary(

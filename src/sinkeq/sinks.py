@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import BEST, TransitionKernel, build_kernel
+from .dynamics import BEST, TransitionKernel, build_kernel, stack_kernels
 from .errors import InvalidParametersError, NumericalFailureError
 from .game import NormalFormGame, positive_optimum
 
@@ -217,25 +219,63 @@ def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     return sinks
 
 
-# A sink's transition matrix on local indices, row after row: each row's
-# entry count, then every entry's column and probability.
+# The chain on supports laid end to end, on local indices, row after row:
+# each row's entry count, then every entry's column and probability.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _support_triples(kernel: TransitionKernel, rows: np.ndarray) -> Triples:
-    """Entries of the chain on a support of distinct states, given in
-    increasing order, gathered from the kernel's CSR rows in row order."""
+def _support_rows(
+    kernel: TransitionKernel, supports: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The supports' states laid end to end, each support's in increasing
+    order, and the supports' sizes; refused unless every support lists
+    distinct integer states of the kernel."""
+    arrays = [np.asarray(support) for support in supports]
+    if any(array.ndim != 1 or not array.size for array in arrays):
+        raise InvalidParametersError("support must be a nonempty sequence of states")
+    for array in arrays:
+        if array.dtype.kind not in "iu":
+            raise InvalidParametersError(f"support states must be integers, not {array.dtype}")
+    sizes = np.array([array.size for array in arrays])
+    starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate(arrays, dtype=np.int64, casting="unsafe")
+    lows = np.minimum.reduceat(rows, starts)
+    highs = np.maximum.reduceat(rows, starts)
+    outside = np.flatnonzero((lows < 0) | (highs >= kernel.num_states))
+    if outside.size:
+        j = outside[0]
+        bad = lows[j] if lows[j] < 0 else highs[j]
+        raise InvalidParametersError(
+            f"support state {bad} is outside [0, {kernel.num_states})"
+        )
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    rows = rows[np.lexsort((rows, owner))]
+    repeats = np.flatnonzero((rows[1:] == rows[:-1]) & (owner[1:] == owner[:-1]))
+    if repeats.size:
+        raise InvalidParametersError(f"support repeats state {rows[repeats[0]]}")
+    return rows, sizes
+
+
+def _support_triples(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> Triples:
+    """Entries of the chain on supports laid end to end, ``sizes`` states
+    each in increasing order, gathered from the kernel's CSR rows in row
+    order.  Refuses supports that share a state or that an edge leaves."""
     starts = kernel.indptr[rows]
     lengths = kernel.indptr[rows + 1] - starts
-    # CSR positions of every entry in the support's rows, row after row.
+    # CSR positions of every entry in the supports' rows, row after row.
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     edge = np.arange(offsets.size) + offsets
     targets = kernel.indices[edge]
-    # Local column of every state, -1 outside the support.
+    # Local column of every state, -1 outside the supports.
     local = np.full(kernel.num_states, -1)
-    local[rows] = np.arange(rows.size)
+    positions = np.arange(rows.size)
+    local[rows] = positions
+    shared = np.flatnonzero(local[rows] != positions)
+    if shared.size:
+        raise InvalidParametersError(f"supports share state {rows[shared[0]]}")
     cols = local[targets]
-    leaving = np.flatnonzero(cols < 0)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    leaving = np.flatnonzero((cols < 0) | (owner[cols] != np.repeat(owner, lengths)))
     if leaving.size:
         first = leaving[0]
         raise InvalidParametersError(
@@ -251,8 +291,9 @@ def _left_product(pi: np.ndarray, triples: Triples) -> np.ndarray:
     return np.bincount(col, weights=np.repeat(pi, lengths) * prob, minlength=pi.size)
 
 
-def _residual(pi: np.ndarray, triples: Triples) -> float:
-    return float(np.max(np.abs(_left_product(pi, triples) - pi)))
+def _residuals(pi: np.ndarray, triples: Triples, starts: np.ndarray) -> np.ndarray:
+    """``max |pi P - pi|`` on each support."""
+    return np.maximum.reduceat(np.abs(_left_product(pi, triples) - pi), starts)
 
 
 def _diagonal(triples: Triples, k: int) -> np.ndarray:
@@ -276,99 +317,158 @@ def _diagonal(triples: Triples, k: int) -> np.ndarray:
 _OMEGA = 0.9
 
 
-def _power_iteration(triples: Triples, d: np.ndarray) -> np.ndarray:
+def _power_iteration(triples: Triples, d: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Damped Jacobi (JOR) iteration on the balance equations
-    ``pi (I - D) = pi (P - D)``, D the diagonal of P:
+    ``pi (I - D) = pi (P - D)`` of every support, D the diagonal of P:
 
         pi_c <- (1 - w) pi_c + w ((pi P)_c - d_c pi_c) / (1 - d_c),
 
     which is ``pi + w (pi P - pi) / (1 - d)``, so the product that makes a
-    step also gives the stop test ``max |pi P - pi| <= POWER_TOL``.
+    step also gives each support's stop test ``max |pi P - pi| <=
+    POWER_TOL``.  One product per step serves every support; a support stops
+    moving at the step that passes its test, and a one-state support never
+    moves.  Each support is renormalized by the sum of its own slice, which
+    adds in the order a sum over that support alone does.
     """
-    k = d.size
-    scale = _OMEGA / (1.0 - d)
-    pi = np.full(k, 1.0 / k)
-    for _ in range(POWER_MAX_STEPS):
-        step = _left_product(pi, triples) - pi
-        if np.max(np.abs(step)) <= POWER_TOL:
-            return pi
-        pi += step * scale
-        pi /= pi.sum()
-    raise NumericalFailureError(
-        f"power iteration on a {k}-state sink did not converge in "
-        f"{POWER_MAX_STEPS} steps (residual {_residual(pi, triples):.3e})"
-    )
-
-
-def stationary_distribution(
-    kernel: TransitionKernel, support: tuple[int, ...] | list[int]
-) -> np.ndarray:
-    """Unique stationary vector of the chain restricted to a sink component.
-
-    Iterates on the sink's sparse CSR rows, so no k-by-k matrix is built.
-    Each step is a damped Jacobi (JOR) step on the balance equations,
-    ``pi <- pi + w (pi P - pi) / (1 - d)`` with d the self-loop probability
-    of each state and ``w = _OMEGA`` below 1, then a renormalization; its
-    fixed point is the vector with ``pi = pi P``.  Dividing by ``1 - d``
-    takes out the self-loops, which hold about a third of each row's mass
-    on response chains, mass that a step with P itself leaves in place; a
-    weight below 1 keeps the step aperiodic on every irreducible chain,
-    self-loops or not.  A state of a multi-state support that only loops to
-    itself makes ``1 - d`` zero; such a support is no sink and is refused.
-    The iteration stops once ``max |pi P - pi| <= POWER_TOL``, read from the
-    product that also makes the next step, and the residual of the
-    normalized vector is then certified against STATIONARY_TOL on the same
-    rows.  The products are ordered ``np.bincount`` sums with no BLAS call,
-    so the bits do not depend on the BLAS library or its thread count.
-    The support lists distinct integer states of the kernel, in any order;
-    anything else is refused.  A one-state support is closed only when its
-    row is its self-loop alone, and needs no solve.
-    """
-    rows = np.asarray(support)
-    if rows.ndim != 1 or not rows.size:
-        raise InvalidParametersError("support must be a nonempty sequence of states")
-    if rows.dtype.kind not in "iu":
-        raise InvalidParametersError(f"support states must be integers, not {rows.dtype}")
-    rows = np.sort(rows).astype(np.int64)
-    if rows[0] < 0 or rows[-1] >= kernel.num_states:
-        bad = rows[0] if rows[0] < 0 else rows[-1]
-        raise InvalidParametersError(
-            f"support state {bad} is outside [0, {kernel.num_states})"
-        )
-    repeats = np.flatnonzero(rows[1:] == rows[:-1])
-    if repeats.size:
-        raise InvalidParametersError(f"support repeats state {rows[repeats[0]]}")
-    if rows.size == 1:
-        state = int(rows[0])
-        row = kernel.indices[kernel.indptr[state] : kernel.indptr[state + 1]]
-        leaving = row[row != state]
-        if leaving.size:
-            raise InvalidParametersError(
-                f"support is not closed: {state} -> {leaving[0]} leaves it"
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    moving = np.flatnonzero(sizes > 1).tolist()
+    scale = np.zeros(d.size)
+    np.divide(_OMEGA, 1.0 - d, out=scale, where=np.repeat(sizes > 1, sizes))
+    pi = np.repeat(1.0 / sizes, sizes)
+    steps = 0
+    while moving:
+        if steps == POWER_MAX_STEPS:
+            j = moving[0]
+            raise NumericalFailureError(
+                f"power iteration on a {sizes[j]}-state sink did not converge in "
+                f"{POWER_MAX_STEPS} steps (residual {_residuals(pi, triples, starts)[j]:.3e})"
             )
-        return np.array([1.0])
+        steps += 1
+        step = _left_product(pi, triples) - pi
+        moves = np.maximum.reduceat(np.abs(step), starts).tolist()
+        settled = [j for j in moving if moves[j] <= POWER_TOL]
+        if settled:
+            for j in settled:
+                a, b = spans[j]
+                scale[a:b] = 0.0
+            moving = [j for j in moving if not moves[j] <= POWER_TOL]
+            if not moving:
+                break
+        pi += step * scale
+        for j in moving:
+            a, b = spans[j]
+            pi[a:b] /= pi[a:b].sum()
+    return pi
 
-    triples = _support_triples(kernel, rows)
+
+def stationary_distributions(
+    kernel: TransitionKernel, supports: Sequence[Sequence[int]]
+) -> list[np.ndarray]:
+    """Unique stationary vector of the chain restricted to each of several
+    disjoint sink components, in the order given.
+
+    Iterates on the sinks' sparse CSR rows, laid end to end, so no k-by-k
+    matrix is built and one product per step serves every sink.  Each step
+    is a damped Jacobi (JOR) step on the balance equations, ``pi <- pi + w
+    (pi P - pi) / (1 - d)`` with d the self-loop probability of each state
+    and ``w = _OMEGA`` below 1, then a renormalization; its fixed point is
+    the vector with ``pi = pi P``.  Dividing by ``1 - d`` takes out the
+    self-loops, which hold about a third of each row's mass on response
+    chains, mass that a step with P itself leaves in place; a weight below 1
+    keeps the step aperiodic on every irreducible chain, self-loops or not.
+    A state of a multi-state support that only loops to itself makes
+    ``1 - d`` zero; such a support is no sink and is refused.  Each sink
+    stops once its ``max |pi P - pi| <= POWER_TOL``, read from the product
+    that also makes the next step, and the residual of its normalized
+    vector is then certified against STATIONARY_TOL on the same rows.  The
+    products are ordered ``np.bincount`` sums with no BLAS call, and every
+    sink's numbers are those of a solve on that sink alone, so the bits do
+    not depend on the BLAS library, its thread count or the other sinks.
+    Each support lists distinct integer states of the kernel, in any order,
+    and no two share a state; anything else is refused.  A one-state
+    support is closed only when its row is its self-loop alone, and needs
+    no solve.  When several supports fail, the first check that any fails
+    names the first support to fail it, in the order: the states, sharing,
+    closure, self-loops, convergence, normalization, residual, positivity.
+    """
+    if len(supports) == 0:
+        return []
+    rows, sizes = _support_rows(kernel, supports)
+    triples = _support_triples(kernel, rows, sizes)
+    multi = sizes > 1
     d = _diagonal(triples, rows.size)
-    stuck = np.flatnonzero(d >= 1.0)
+    stuck = np.flatnonzero(np.repeat(multi, sizes) & (d >= 1.0))
     if stuck.size:
         raise InvalidParametersError(
             f"support is not a sink: state {rows[stuck[0]]} only loops to itself"
         )
-    pi = _power_iteration(triples, d)
-    total = pi.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise NumericalFailureError("stationary solve produced a non-distribution")
-    pi = pi / total
-    residual = _residual(pi, triples)
-    if residual > STATIONARY_TOL:
+    pi = _power_iteration(triples, d, sizes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    for j in np.flatnonzero(multi).tolist():
+        a, b = spans[j]
+        total = pi[a:b].sum()
+        if not np.isfinite(total) or total <= 0:
+            raise NumericalFailureError("stationary solve produced a non-distribution")
+        pi[a:b] /= total
+    residuals = _residuals(pi, triples, starts)
+    failed = np.flatnonzero(multi & (residuals > STATIONARY_TOL))
+    if failed.size:
         raise NumericalFailureError(
-            f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.0e}"
+            f"stationary residual {residuals[failed[0]]:.3e} exceeds {STATIONARY_TOL:.0e}"
         )
-    if pi.min() <= 0.0:
+    if np.any(multi & (np.minimum.reduceat(pi, starts) <= 0.0)):
         raise NumericalFailureError("stationary distribution is not strictly positive")
     pi.setflags(write=False)
-    return pi
+    return [pi[a:b] for a, b in spans]
+
+
+def stationary_distribution(
+    kernel: TransitionKernel, support: Sequence[int]
+) -> np.ndarray:
+    """Unique stationary vector of the chain restricted to a sink component:
+    ``stationary_distributions`` on that one support."""
+    return stationary_distributions(kernel, [support])[0]
+
+
+def batch_sink_equilibria(
+    games: Sequence[NormalFormGame], mode: str = BEST, tie_tol: float = 0.0
+) -> list[list[SinkEquilibrium]]:
+    """``sink_equilibria`` of each of one or more games, found together: the
+    games' kernels are stacked into one block-diagonal kernel, which takes
+    one sink search and one stationary solve.  Each game gets exactly what
+    it gets alone."""
+    kernel = stack_kernels([build_kernel(game, mode=mode, tie_tol=tie_tol) for game in games])
+    sinks = sink_components(kernel)
+    pis = stationary_distributions(kernel, sinks)
+    # Every sink's states, sink after sink.  Sinks come ordered by their
+    # smallest state, so game by game.
+    sizes = [len(support) for support in sinks]
+    states = np.fromiter(chain.from_iterable(sinks), dtype=np.int64, count=sum(sizes))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    offsets = np.cumsum([0] + [game.num_profiles for game in games])
+    game_of = np.searchsorted(offsets, states[starts], side="right") - 1
+    local = (states - np.repeat(offsets[game_of], sizes)).tolist()
+    welfare = np.concatenate([game.welfare for game in games])[states]
+    terms = (np.concatenate(pis) * welfare).tolist()
+    lows = np.minimum.reduceat(welfare, starts).tolist()
+    highs = np.maximum.reduceat(welfare, starts).tolist()
+    out: list[list[SinkEquilibrium]] = [[] for _ in games]
+    spans = zip(game_of.tolist(), starts.tolist(), ends.tolist())
+    for j, (i, a, b) in enumerate(spans):
+        # A convex combination lies within its terms; pi may sum to one
+        # only up to rounding.
+        expected = min(max(math.fsum(terms[a:b]), lows[j]), highs[j])
+        out[i].append(
+            SinkEquilibrium(
+                support=tuple(local[a:b]), probabilities=pis[j], expected_welfare=expected
+            )
+        )
+    return out
 
 
 def sink_equilibria(
@@ -376,20 +476,18 @@ def sink_equilibria(
 ) -> list[SinkEquilibrium]:
     """One equilibrium per sink of the chosen response chain, ordered by the
     smallest support state."""
-    kernel = build_kernel(game, mode=mode, tie_tol=tie_tol)
+    return batch_sink_equilibria([game], mode=mode, tie_tol=tie_tol)[0]
+
+
+def batch_price_of_sinking(
+    games: Sequence[NormalFormGame], mode: str = BEST, tie_tol: float = 0.0
+) -> list[tuple[float, SinkEquilibrium]]:
+    """``price_of_sinking`` of each game, from ``batch_sink_equilibria``."""
+    optima = [positive_optimum(game)[1] for game in games]
     out = []
-    for support in sink_components(kernel):
-        pi = stationary_distribution(kernel, support)
-        welfare = game.welfare[list(support)]
-        expected = math.fsum((pi * welfare).tolist())
-        # A convex combination lies within its terms; pi may sum to one
-        # only up to rounding.
-        expected = min(max(expected, float(welfare.min())), float(welfare.max()))
-        out.append(
-            SinkEquilibrium(
-                support=support, probabilities=pi, expected_welfare=expected
-            )
-        )
+    for wopt, equilibria in zip(optima, batch_sink_equilibria(games, mode, tie_tol)):
+        worst = min(equilibria, key=lambda eq: eq.expected_welfare)
+        out.append((worst.expected_welfare / wopt, worst))
     return out
 
 
@@ -398,9 +496,4 @@ def price_of_sinking(
 ) -> tuple[float, SinkEquilibrium]:
     """Worst sink expected welfare over the optimal welfare, with the
     minimizing equilibrium (the first of equal minima)."""
-    _, wopt = positive_optimum(game)
-    worst = min(
-        sink_equilibria(game, mode=mode, tie_tol=tie_tol),
-        key=lambda eq: eq.expected_welfare,
-    )
-    return worst.expected_welfare / wopt, worst
+    return batch_price_of_sinking([game], mode=mode, tie_tol=tie_tol)[0]

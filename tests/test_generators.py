@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkeq.errors import InvalidParametersError, ValidationError
+import sinkeq.generators as generators
+import sinkeq.sinks as sinks
+from sinkeq.dynamics import BEST
+from sinkeq.errors import GameAnalysisError, InvalidParametersError, ValidationError
+from sinkeq.game import NormalFormGame
 from sinkeq.generators import (
+    BOUND_TOL,
     MAX_PROFILES,
     CoveringInstance,
     CoveringMonteCarloSpec,
+    MonteCarloSummary,
     RadioInstance,
     RadioMonteCarloSpec,
+    TrialResult,
     _checked_profiles,
     _trial_seed,
     counterexample_game,
@@ -258,6 +265,24 @@ class TestCoveringReference:
         assert_matches_reference(instance)
 
 
+@pytest.mark.parametrize("sizes", [(8, 9), (127, 129, 300), (8191, 8193, 9000)])
+def test_union_sums_match_reference_across_summation_blocks(sizes):
+    # Sums of 8 and more terms are unrolled, of more than 128 split in
+    # halves, and of more than 8,192 cut at numpy's buffer size; every union
+    # size must add in the order of ``x[mask].sum()``.
+    m = max(sizes) + 1
+    values = tuple(philox_rng(9, 0).uniform(0.0, 1.0, size=m))
+    options = (tuple(tuple(range(k)) for k in sizes), ((), (m - 1,)))
+    assert_matches_reference(CoveringInstance(values, options, bias=0.02, scale=0.3, seed=4))
+
+
+def test_union_sums_in_small_blocks_match_reference(monkeypatch):
+    monkeypatch.setattr(generators, "_SUM_BLOCK", 7)
+    for seed in range(3):
+        assert_matches_reference(sample_covering_instance(4, 8, 0.01, 0.01, seed))
+    assert_matches_reference(sample_covering_instance(3, 70, 0.01, 0.2, 8, options_per_agent=5))
+
+
 class TestFoldedNormalMisalignment:
     def test_zero_bias_closed_form(self):
         for scale in (0.01, 0.3):
@@ -353,6 +378,28 @@ class TestRadioGames:
         )
 
 
+def one_shot_radio_tables(instance):
+    """Welfare and utilities from one ``(2^n, n, n)`` pair table."""
+    n = instance.num_agents
+    states = np.arange(1 << n)
+    channels = (states[:, None] >> np.arange(n)[None, :]) & 1
+    split = channels[:, :, None] != channels[:, None, :]
+    welfare = np.einsum("alj,lj->a", split, instance.weights)
+    utilities = np.array([np.einsum("alj,lj->a", split, est) for est in instance.estimates])
+    return welfare, utilities
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 1 << 13])
+def test_radio_tables_in_blocks_match_one_shot(monkeypatch, block):
+    monkeypatch.setattr(generators, "_RADIO_BLOCK", block)
+    for n, seed in ((2, 1), (5, 2), (9, 3), (12, 4)):
+        instance = sample_radio_instance(n, 0.8, seed)
+        game = make_radio_game(instance)
+        welfare, utilities = one_shot_radio_tables(instance)
+        assert np.array_equal(game.welfare, welfare)
+        assert np.array_equal(game.utilities, utilities)
+
+
 class TestNearCommonSampler:
     def test_additive_noise_respects_the_budget(self):
         rng = philox_rng(53, 0)
@@ -438,6 +485,103 @@ class TestMonteCarlo:
     def test_trial_count_validation(self):
         with pytest.raises(InvalidParametersError):
             run_monte_carlo(RadioMonteCarloSpec(2, 1.0), trials=0, master_seed=0)
+
+
+def per_trial_monte_carlo(spec, trials, master_seed):
+    """``run_monte_carlo`` as a loop that analyzes each trial on its own."""
+    bound = generators._spec_bound(spec)
+    results = []
+    for trial in range(trials):
+        try:
+            game = generators._trial_game(spec, _trial_seed(master_seed, trial))
+            pos, _ = price_of_sinking(game, mode=BEST)
+        except GameAnalysisError as exc:
+            raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
+        results.append(TrialResult(trial=trial, pos=pos, violation=pos < bound - BOUND_TOL))
+    pos = np.array([r.pos for r in results])
+    std_err = float(np.std(pos, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MonteCarloSummary(
+        trials=trials,
+        mean_pos=float(np.mean(pos)),
+        std_err=std_err,
+        min_pos=float(np.min(pos)),
+        bound=bound,
+        violations=sum(r.violation for r in results),
+        results=tuple(results),
+    )
+
+
+def count_batches(monkeypatch):
+    """The number of games in each batch ``run_monte_carlo`` analyzes."""
+    sizes = []
+    analyze = generators.batch_price_of_sinking
+
+    def counted(games, **kwargs):
+        sizes.append(len(games))
+        return analyze(games, **kwargs)
+
+    monkeypatch.setattr(generators, "batch_price_of_sinking", counted)
+    return sizes
+
+
+class TestBatchedMonteCarlo:
+    @pytest.mark.parametrize(
+        "spec, trials, seed, budget",
+        [
+            (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), 30, 5, None),
+            (CoveringMonteCarloSpec(3, 5, 0.2, 0.4), 25, 2, 100),
+            (RadioMonteCarloSpec(9, 0.8), 7, 3, None),
+            (RadioMonteCarloSpec(12, 0.8), 2, 0, None),
+            (RadioMonteCarloSpec(3, 0.7), 40, 1, 50),
+        ],
+        ids=["covering", "covering-mixed-sizes", "radio-512", "radio-above-budget", "radio-small"],
+    )
+    def test_equals_the_per_trial_loop(self, monkeypatch, spec, trials, seed, budget):
+        if budget is not None:
+            monkeypatch.setattr(generators, "_BATCH_STATES", budget)
+        batches = count_batches(monkeypatch)
+        assert run_monte_carlo(spec, trials, seed) == per_trial_monte_carlo(spec, trials, seed)
+        assert sum(batches) == trials
+        if spec != RadioMonteCarloSpec(12, 0.8):
+            assert len(batches) > 1 and max(batches) > 1
+
+    @pytest.mark.parametrize("failing", [0, 9, 10, 17])
+    @pytest.mark.parametrize("where", ["draw", "analysis"])
+    def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
+        # Trials hold at most 256 states, so trials 9 and 10 sit inside
+        # the second or third batch of 2,048 states.
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+        bad_seed = _trial_seed(7, failing)
+        draw = generators._trial_game
+
+        def patched(spec, seed):
+            game = draw(spec, seed)
+            if seed != bad_seed:
+                return game
+            if where == "draw":
+                raise ValidationError("patched failure")
+            return NormalFormGame(game.action_counts, np.zeros(game.num_profiles), game.utilities)
+
+        monkeypatch.setattr(generators, "_trial_game", patched)
+        with pytest.raises(GameAnalysisError) as loop:
+            per_trial_monte_carlo(spec, 20, 7)
+        with pytest.raises(GameAnalysisError) as batched:
+            run_monte_carlo(spec, 20, 7)
+        assert type(batched.value) is type(loop.value)
+        assert str(batched.value) == str(loop.value)
+        assert str(loop.value).startswith(f"trial {failing} (master_seed=7): ")
+
+    def test_a_failing_solve_reports_as_in_the_loop(self, monkeypatch):
+        # With no steps allowed, every sink of two or more states fails;
+        # trials 0 and 1 of this run have only pure equilibria as sinks.
+        monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 0)
+        spec = CoveringMonteCarloSpec(2, 6, 0.2, 0.4)
+        with pytest.raises(GameAnalysisError) as loop:
+            per_trial_monte_carlo(spec, 20, 3)
+        with pytest.raises(GameAnalysisError) as batched:
+            run_monte_carlo(spec, 20, 3)
+        assert str(batched.value) == str(loop.value)
+        assert str(loop.value).startswith("trial 2 (master_seed=3): power iteration on a ")
 
 
 class TestSeedPlumbing:

@@ -90,6 +90,14 @@ def invocations(names) -> list[list[str]]:
                     "--format", fmt])
     out.append(["analyze", "--input", "random.json", "--tie-tol", "-1"])
     out.append(["export-kernel", "--input", "random.json", "--tie-tol", "-1"])
+    # Monte Carlo runs that span several trial batches, and trials larger
+    # than one batch.
+    out.append(["covering-mc", "--n", "4", "--regions", "8", "--bias", "0.01",
+                "--scale", "0.01", "--trials", "50", "--seed", "5", "--format", "csv"])
+    out.append(["radio-mc", "--n", "9", "--alpha", "0.8", "--trials", "12",
+                "--seed", "3", "--format", "csv"])
+    out.append(["radio-mc", "--n", "12", "--alpha", "0.8", "--trials", "2",
+                "--format", "csv"])
     return out
 
 

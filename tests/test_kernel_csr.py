@@ -15,9 +15,13 @@ from sinkeq.dynamics import (
     best_response_set,
     better_response_set,
     build_kernel,
+    stack_kernels,
 )
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
+    CoveringMonteCarloSpec,
+    _batches,
+    _trial_game,
     _trial_seed,
     make_covering_game,
     make_radio_game,
@@ -261,6 +265,21 @@ def test_coloring_and_tarjan_agree_with_networkx(kernel):
     assert_every_path_finds(kernel, networkx_sinks(kernel))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(chains(), min_size=1, max_size=4))
+def test_stacked_kernels_keep_each_block(kernels):
+    stacked = stack_kernels(kernels)
+    offsets = np.cumsum([0] + [k.num_states for k in kernels]).tolist()
+    expected_rows, expected_sinks = [], []
+    for kernel, offset in zip(kernels, offsets):
+        expected_rows += [
+            tuple((t + offset, p) for t, p in kernel.row(s)) for s in range(kernel.num_states)
+        ]
+        expected_sinks += [tuple(s + offset for s in sink) for sink in networkx_sinks(kernel)]
+    assert [stacked.row(s) for s in range(stacked.num_states)] == expected_rows
+    assert sink_components(stacked) == expected_sinks
+
+
 def radio_pool_kernels(seed):
     """The best-response kernels of the benchmark's 12-player radio pool."""
     for i in range(15):
@@ -282,10 +301,14 @@ def benchmark_pool_kernels():
             found += 1
             yield build_kernel(game, BETTER)
             yield build_kernel(game, BEST)
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         for master in range(seed * 5, seed * 5 + 5):
-            for trial in range(50):
-                instance = sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(master, trial))
-                yield build_kernel(make_covering_game(instance), BEST)
+            games = [_trial_game(spec, _trial_seed(master, trial)) for trial in range(50)]
+            for game in games:
+                yield build_kernel(game, BEST)
+            # The block-diagonal kernels that run_monte_carlo searches.
+            for batch in _batches(games):
+                yield stack_kernels([build_kernel(game, BEST) for game in batch])
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):

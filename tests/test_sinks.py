@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sinkeq.sinks as sinks
-from sinkeq.dynamics import BEST, BETTER, TransitionKernel, best_response_set, build_kernel, is_singleton_br
+from sinkeq.dynamics import (
+    BEST,
+    BETTER,
+    TransitionKernel,
+    best_response_set,
+    build_kernel,
+    is_singleton_br,
+    stack_kernels,
+)
 from sinkeq.errors import DegenerateWelfareError, InvalidParametersError, NumericalFailureError
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
@@ -30,6 +38,7 @@ from sinkeq.sinks import (
     sink_components,
     sink_equilibria,
     stationary_distribution,
+    stationary_distributions,
 )
 
 
@@ -475,3 +484,130 @@ class TestPowerPath:
         assert "3 steps" in message
         residual = float(message.rsplit("residual ", 1)[1].rstrip(")"))
         assert residual > sinks.POWER_TOL
+
+
+def reference_stationary(kernel, support):
+    """The solve on one support alone, as it ran before supports were
+    batched: the damped Jacobi iteration on that sink's rows only."""
+    rows = np.sort(np.asarray(support)).astype(np.int64)
+    k = rows.size
+    if k == 1:
+        return np.array([1.0])
+    local = np.full(kernel.num_states, -1)
+    local[rows] = np.arange(k)
+    lengths = kernel.indptr[rows + 1] - kernel.indptr[rows]
+    edges = np.concatenate([np.arange(kernel.indptr[r], kernel.indptr[r + 1]) for r in rows])
+    cols, prob = local[kernel.indices[edges]], kernel.probs[edges]
+    src = np.repeat(np.arange(k), lengths)
+    d = np.zeros(k)
+    d[cols[src == cols]] = prob[src == cols]
+    scale = sinks._OMEGA / (1.0 - d)
+    pi = np.full(k, 1.0 / k)
+    while True:
+        step = np.bincount(cols, weights=np.repeat(pi, lengths) * prob, minlength=k) - pi
+        if np.max(np.abs(step)) <= sinks.POWER_TOL:
+            return pi / pi.sum()
+        pi += step * scale
+        pi /= pi.sum()
+
+
+@st.composite
+def stacked_kernels(draw):
+    """One to five random games' kernels, best or better mode, stacked
+    block-diagonally: their sinks mix pure equilibria with cycle classes
+    whose solves stop after different numbers of steps."""
+    kernels = []
+    for _ in range(draw(st.integers(1, 5))):
+        rng = philox_rng(draw(st.integers(0, 2**32)), 0)
+        game = sample_random_game(rng, sample_action_counts(rng, max_players=3, max_actions=4))
+        kernels.append(build_kernel(game, draw(st.sampled_from((BEST, BETTER)))))
+    return stack_kernels(kernels)
+
+
+class TestBatchedStationary:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_kernels(), st.randoms(use_true_random=False))
+    def test_equals_single_solves_bit_for_bit(self, kernel, random):
+        supports = sink_components(kernel)
+        random.shuffle(supports)
+        supports = [tuple(random.sample(s, len(s))) for s in supports]
+        batched = stationary_distributions(kernel, supports)
+        assert len(batched) == len(supports)
+        for support, pi in zip(supports, batched):
+            assert pi.tobytes() == stationary_distribution(kernel, support).tobytes()
+            assert pi.tobytes() == reference_stationary(kernel, support).tobytes()
+
+    def test_sinks_that_stop_at_different_steps(self, monkeypatch):
+        # Sinks of the random-sink shape, both modes, beside a covering
+        # game's and a pure equilibrium, in one solve.
+        rng = philox_rng(1, 0)
+        game = sample_random_game(rng, (6, 6, 6, 10))
+        while enumerate_nash(game):
+            game = sample_random_game(rng, (6, 6, 6, 10))
+        kernel = stack_kernels([
+            build_kernel(game, BETTER),
+            build_kernel(make_covering_game(sample_covering_instance(4, 8, 0.01, 0.01, 3)), BEST),
+            build_kernel(game, BEST),
+            build_kernel(common_interest((2, 2), [1.0, 0.0, 0.0, 2.0]), BEST),
+        ])
+        supports = sink_components(kernel)
+        products = []
+        left_product = sinks._left_product
+
+        def counted(pi, triples):
+            products[-1] += 1
+            return left_product(pi, triples)
+
+        monkeypatch.setattr(sinks, "_left_product", counted)
+        for support in supports:
+            products.append(0)
+            stationary_distribution(kernel, support)
+        monkeypatch.undo()
+        assert min(len(s) for s in supports) == 1 and len(set(products)) > 2
+        for support, pi in zip(supports, stationary_distributions(kernel, supports)):
+            assert pi.tobytes() == reference_stationary(kernel, support).tobytes()
+
+    KERNEL = [
+        {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}, {2: 0.5, 3: 0.5}, {3: 1.0},
+        {4: 0.5, 5: 0.5}, {4: 0.5, 5: 0.5}, {6: 0.5, 7: 0.5}, {0: 1.0},
+    ]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(), (2, 2, 3), (-1, 3), (3, 8), (2, 2.5), (2,), (6, 7), (2, 3)],
+        ids=["empty", "repeat", "negative", "too-large", "non-integer",
+             "open-one-state", "open", "absorbing-inside"],
+    )
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_bad_support_fails_as_it_does_alone(self, bad, position):
+        kernel = hand_kernel(self.KERNEL)
+        supports = [(0, 1), (4, 5)]
+        supports.insert(position, bad)
+        with pytest.raises(InvalidParametersError) as alone:
+            stationary_distribution(kernel, bad)
+        with pytest.raises(InvalidParametersError) as batched:
+            stationary_distributions(kernel, supports)
+        assert str(batched.value) == str(alone.value)
+
+    def test_supports_may_not_share_a_state(self):
+        kernel = hand_kernel(self.KERNEL)
+        with pytest.raises(InvalidParametersError, match=r"^supports share state 1$"):
+            stationary_distributions(kernel, [(0, 1), (4, 5), (7, 1, 6)])
+
+    def test_no_supports(self):
+        assert stationary_distributions(hand_kernel(self.KERNEL), []) == []
+
+    def test_failure_names_the_first_unsettled_sink(self, monkeypatch):
+        monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 3)
+        kernel = stack_kernels([
+            hand_kernel([{0: 1.0}]),
+            hand_kernel([{1: 1.0}, {0: 1.0}]),
+            hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {0: 1.0}]),
+        ])
+        supports = [(0,), (1, 2), (3, 4, 5)]
+        with pytest.raises(NumericalFailureError) as alone:
+            stationary_distribution(kernel, (3, 4, 5))
+        with pytest.raises(NumericalFailureError) as batched:
+            stationary_distributions(kernel, supports)
+        assert str(batched.value) == str(alone.value)
+        assert "3-state sink" in str(alone.value)
