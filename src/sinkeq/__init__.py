@@ -7,9 +7,9 @@ from .dynamics import (
     TransitionKernel,
     best_response_set,
     better_response_set,
+    build_batch_kernel,
     build_kernel,
     is_singleton_br,
-    stack_kernels,
 )
 from .errors import (
     CertificateNotFoundError,
@@ -47,6 +47,7 @@ from .generators import (
     covering_sinking_bound,
     expected_covering_misalignment,
     make_covering_game,
+    make_covering_games,
     make_radio_game,
     philox_rng,
     radio_instance_from_dict,

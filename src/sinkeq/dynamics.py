@@ -58,6 +58,23 @@ class TransitionKernel:
         return zip(src.tolist(), self.indices.tolist(), self.probs.tolist())
 
 
+def _check_tie_tol(tie_tol: float) -> None:
+    """Refuse a ``tie_tol`` that is negative, NaN or infinite."""
+    if not tie_tol >= 0:
+        raise InvalidParametersError("tie_tol must be nonnegative")
+    if tie_tol == math.inf:
+        raise InvalidParametersError("tie_tol must be finite")
+
+
+def _admissible(table: np.ndarray, fiber: np.ndarray, states, mode: str, tie_tol: float) -> np.ndarray:
+    """Boolean ``mask[k, ...]``: the target ``fiber[k, ...]`` of each of
+    ``states`` is in the response set of the player with payoffs ``table``."""
+    val = table[fiber]
+    if mode == BEST:
+        return val >= val.max(axis=0) - tie_tol
+    return val >= table[states]
+
+
 def _response_mask(
     game: NormalFormGame, player: int, mode: str, tie_tol: float, states
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -68,18 +85,9 @@ def _response_mask(
     actions.  ``tie_tol`` must be a finite nonnegative number in either
     mode, so NaN and infinity are refused.
     """
-    if not tie_tol >= 0:
-        raise InvalidParametersError("tie_tol must be nonnegative")
-    if tie_tol == math.inf:
-        raise InvalidParametersError("tie_tol must be finite")
+    _check_tie_tol(tie_tol)
     fiber = game.fiber(player, states)
-    table = game.utilities[player]
-    val = table[fiber]
-    if mode == BEST:
-        mask = val >= val.max(axis=0) - tie_tol
-    else:
-        mask = val >= table[states]
-    return mask, fiber
+    return _admissible(game.utilities[player], fiber, states, mode, tie_tol), fiber
 
 
 def best_response_set(
@@ -115,27 +123,74 @@ def build_kernel(
     """Transition kernel of the uniform-player response process.
 
     ``mode`` selects best-response (argmax within ``tie_tol``) or
-    better-response (weak self-improvement) sets.
+    better-response (weak self-improvement) sets.  This is
+    ``build_batch_kernel`` on one game.
+    """
+    return build_batch_kernel([game], mode, tie_tol)
+
+
+def build_batch_kernel(
+    games: Sequence[NormalFormGame],
+    mode: str = BEST,
+    tie_tol: float = 0.0,
+) -> TransitionKernel:
+    """Block-diagonal kernel of one or more games with one player count:
+    each game's states follow those of the games before it, each block is
+    the game's ``build_kernel``, bit for bit, and no edge joins two blocks.
+
+    One pass per player covers every game, with that player's stride and
+    action count per state.  Where action counts differ between games,
+    the shorter fibers are padded and the padded slots masked out.
     """
     if mode not in (BEST, BETTER):
         raise InvalidParametersError(f"mode must be '{BEST}' or '{BETTER}'")
+    _check_tie_tol(tie_tol)
+    if not games:
+        raise InvalidParametersError("need at least one game")
+    n = games[0].num_players
+    if any(game.num_players != n for game in games):
+        raise InvalidParametersError("games in one batch must have the same number of players")
 
-    n = game.num_players
-    num_states = game.num_profiles
+    sizes = [game.num_profiles for game in games]
+    num_states = sum(sizes)
     states = np.arange(num_states)
+    if len(games) == 1:
+        utilities, local = games[0].utilities, states
+    else:
+        utilities = np.hstack([game.utilities for game in games])
+        local = states - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
     srcs, dsts, probs = [], [], []
     # Off-diagonal targets come from exactly one player; only self-loops
     # collect shares from several, summed in player order.
     diag = np.zeros(num_states)
     for player in range(n):
-        mask, fiber = _response_mask(game, player, mode, tie_tol, states)
+        counts = [game.action_counts[player] for game in games]
+        strides = [game.strides[player] for game in games]
+        width = max(counts)
+        if counts.count(width) == len(counts) and strides.count(strides[0]) == len(strides):
+            c, s = width, strides[0]
+        else:
+            c, s = np.repeat(counts, sizes), np.repeat(strides, sizes)
+        fiber = states - local // s % c * s + s * np.arange(width)[:, None]
+        ragged = width > min(counts)
+        if ragged:
+            # A padded slot points at the state itself, whose payoff is
+            # already in the fiber, so the best payoff stays as it is.
+            padded = np.arange(width)[:, None] >= c
+            fiber = np.where(padded, states, fiber)
+        mask = _admissible(utilities[player], fiber, states, mode, tie_tol)
+        if ragged:
+            mask &= ~padded
         share = 1.0 / (n * mask.sum(axis=0))
         own = fiber == states
         diag += np.where((mask & own).any(axis=0), share, 0.0)
         mask &= ~own
-        src = np.nonzero(mask)[1]
+        # Positions in the (actions, states) table, read as flat indices:
+        # a gather by them is much cheaper than by the boolean mask.
+        at = np.flatnonzero(mask)
+        src = at % num_states
         srcs.append(src)
-        dsts.append(fiber[mask])
+        dsts.append(fiber.ravel()[at])
         probs.append(share[src])
     looped = np.flatnonzero(diag)
     srcs.append(looped)
@@ -149,28 +204,6 @@ def build_kernel(
         indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
         indices=dst[order],
         probs=np.concatenate(probs)[order],
-    )
-    for arr in (kernel.indptr, kernel.indices, kernel.probs):
-        arr.setflags(write=False)
-    return kernel
-
-
-def stack_kernels(kernels: Sequence[TransitionKernel]) -> TransitionKernel:
-    """Block-diagonal kernel of ``kernels``: each one's states follow those
-    of the kernels before it, and no edge joins two blocks.  One kernel is
-    returned as it is."""
-    if len(kernels) == 1:
-        return kernels[0]
-    state_offsets = np.cumsum([0] + [k.num_states for k in kernels])
-    edge_offsets = np.cumsum([0] + [k.indices.size for k in kernels])
-    kernel = TransitionKernel(
-        indptr=np.concatenate(
-            [[0]] + [k.indptr[1:] + e for k, e in zip(kernels, edge_offsets.tolist())]
-        ),
-        indices=np.concatenate(
-            [k.indices + s for k, s in zip(kernels, state_offsets.tolist())]
-        ),
-        probs=np.concatenate([k.probs for k in kernels]),
     )
     for arr in (kernel.indptr, kernel.indices, kernel.probs):
         arr.setflags(write=False)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def sample_covering_estimates(instance: CoveringInstance) -> np.ndarray:
     )
 
 
-# Most table entries ``make_covering_game`` gathers into one block for its
+# Most table entries ``make_covering_games`` gathers into one block for its
 # union sums, which bounds the memory a block takes (8 MB).
 _SUM_BLOCK = 1 << 20
 
@@ -189,56 +189,113 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     """Welfare sums true values over the union of chosen subsets; each agent's
     utility sums its own estimates over the same union.
 
-    Profiles share few distinct unions, so each distinct union is summed once
-    and scattered back to its profiles.  Unions of k regions are summed
-    together: their entries of every table are gathered into one C-contiguous
-    ``(tables, unions, k)`` block and summed along its last axis, which adds
-    in the order of ``x[mask].sum()``.  An axis reduction over a table of
-    masks, or over a block that is not C-contiguous, adds in another order
-    and moves the last bits.
+    This is ``make_covering_games`` on one instance.
     """
-    counts = tuple(len(opts) for opts in instance.options)
-    total = _checked_profiles(math.prod(counts))
-    m = instance.num_regions
-    width = (m + 7) // 8
-    if total * width > MAX_PROFILES:
-        raise InvalidParametersError(
-            f"game would need more than {MAX_PROFILES} bytes of region bits"
-        )
-    estimates = sample_covering_estimates(instance)
-    values = np.asarray(instance.values)
+    return make_covering_games([instance])[0]
 
-    # Region bits of each profile's union, one byte row per profile, built
-    # on the profile tensor whose axis -2 - i is agent i's option (agent 0
-    # varies fastest in the flat order).
-    unions = np.zeros(counts[::-1] + (width,), dtype=np.uint8)
-    for i, (opts, c) in enumerate(zip(instance.options, counts)):
-        masks = np.zeros((c, m), dtype=bool)
-        for k, subset in enumerate(opts):
-            masks[k, list(subset)] = True
-        shape = [1] * unions.ndim
-        shape[-2 - i], shape[-1] = c, width
-        unions |= np.packbits(masks, axis=1).reshape(shape)
-    unions = unions.reshape(total, width)
+
+def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
+    """``make_covering_game`` of each of one or more instances with one
+    agent count, built together.
+
+    Profiles share few distinct unions, so each distinct union of a game is
+    summed once and scattered back to its profiles.  Unions of k regions
+    are summed together: their entries of every table are gathered into one
+    C-contiguous ``(unions, tables, k)`` block and summed along its last
+    axis, which adds in the order of ``x[mask].sum()``.  An axis reduction
+    over a table of masks, or over a block whose last axis is strided, adds
+    in another order and moves the last bits.
+    """
+    if not instances:
+        raise InvalidParametersError("need at least one covering instance")
+    n = instances[0].num_agents
+    if any(instance.num_agents != n for instance in instances):
+        raise InvalidParametersError(
+            "covering instances in one batch must have the same number of agents"
+        )
+    counts = np.array([[len(opts) for opts in instance.options] for instance in instances])
+    totals = []
+    for instance, row in zip(instances, counts.tolist()):
+        total = _checked_profiles(math.prod(row))
+        if total * ((instance.num_regions + 7) // 8) > MAX_PROFILES:
+            raise InvalidParametersError(
+                f"game would need more than {MAX_PROFILES} bytes of region bits"
+            )
+        totals.append(total)
+    m = max(instance.num_regions for instance in instances)
+    # Welfare values, then each agent's estimates, per game; zero past the
+    # game's regions, which no union covers.
+    tables = np.zeros((len(instances), 1 + n, m))
+    for table, instance in zip(tables, instances):
+        table[0, : instance.num_regions] = instance.values
+        table[1:, : instance.num_regions] = sample_covering_estimates(instance)
+
+    # Region bits of every option of every agent of every game, one byte
+    # row per option, in that order.
+    options = list(chain.from_iterable(chain.from_iterable(i.options for i in instances)))
+    lengths = np.fromiter(map(len, options), dtype=np.int64, count=len(options))
+    masks = np.zeros((len(options), m), dtype=bool)
+    masks[
+        np.repeat(np.arange(len(options)), lengths),
+        np.fromiter(chain.from_iterable(options), dtype=np.int64, count=int(lengths.sum())),
+    ] = True
+    bits = np.packbits(masks, axis=1)
+    firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+
+    # Each profile's key: its game, in as few big-endian bytes as number
+    # the games (none for one game), then the region bits of its union.
+    # Agent i's option at a profile is digit i of the game's flat index,
+    # agent 0 varying fastest.
+    profiles = sum(totals)
+    if len(instances) == 1:
+        game, rest = 0, np.arange(profiles)
+    else:
+        game = np.repeat(np.arange(len(instances)), totals)
+        rest = np.arange(profiles) - np.repeat(np.cumsum(totals) - totals, totals)
+    prefix = ((len(instances) - 1).bit_length() + 7) // 8
+    keys = np.empty((profiles, prefix + bits.shape[1]), dtype=np.uint8)
+    keys[:, :prefix] = np.asarray(game, dtype=">u8").reshape(-1, 1).view(np.uint8)[:, 8 - prefix :]
+    unions = keys[:, prefix:]
+    unions[:] = 0
+    for i in range(n):
+        rest, digit = np.divmod(rest, counts[game, i])
+        unions |= bits[firsts[game, i] + digit]
     # Sort the byte rows as opaque keys; np.unique(axis=0) does the same
     # through a slower structured dtype.
-    keys = unions.view(np.dtype((np.void, unions.shape[1]))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    bits = distinct.view(np.uint8).reshape(len(distinct), -1)
-    covered = np.unpackbits(bits, axis=1, count=m).astype(bool)
-    tables = np.vstack([values, estimates])
-    sums = np.empty((len(tables), len(covered)))
-    sizes = covered.sum(axis=1)
-    for k in np.flatnonzero(np.bincount(sizes)).tolist():
-        group = np.flatnonzero(sizes == k)
-        chunk = max(1, _SUM_BLOCK // (len(tables) * max(k, 1)))
-        for lo in range(0, group.size, chunk):
-            rows = group[lo : lo + chunk]
-            cols = np.nonzero(covered[rows])[1].reshape(rows.size, k)
-            sums[:, rows] = np.ascontiguousarray(tables[:, cols]).sum(axis=-1)
-    return NormalFormGame(
-        action_counts=counts, welfare=sums[0, inverse], utilities=sums[1:, inverse]
+    distinct, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_inverse=True
     )
+    covered = np.unpackbits(
+        distinct.view(np.uint8).reshape(len(distinct), -1)[:, prefix:], axis=1, count=m
+    ).astype(bool)
+    owner = np.empty(len(distinct), dtype=np.int64)
+    owner[inverse] = game
+    # Distinct unions by size, so the unions of each size, and their
+    # regions, come one after another.
+    sizes = covered.sum(axis=1)
+    by_size = np.argsort(sizes, kind="stable")
+    regions = np.nonzero(covered[by_size])[1]
+    owner = owner[by_size]
+    layers = np.arange(1 + n)[:, None]
+    sums = np.empty((len(distinct), 1 + n))
+    row = at = 0
+    for k, count in enumerate(np.bincount(sizes).tolist()):
+        chunk = max(1, _SUM_BLOCK // ((1 + n) * max(k, 1)))
+        for lo in range(row, row + count, chunk):
+            hi = min(lo + chunk, row + count)
+            cols = regions[at : at + (hi - lo) * k].reshape(hi - lo, 1, k)
+            sums[lo:hi] = tables[owner[lo:hi, None, None], layers, cols].sum(axis=-1)
+            at += (hi - lo) * k
+        row += count
+    # Each profile's sums, back through the size order, one column each.
+    columns = sums.T[:, np.argsort(by_size)[inverse]]
+    ends = list(accumulate(totals))
+    return [
+        NormalFormGame(
+            action_counts=tuple(actions), welfare=columns[0, a:b], utilities=columns[1:, a:b]
+        )
+        for actions, a, b in zip(counts.tolist(), [0] + ends[:-1], ends)
+    ]
 
 
 def sample_covering_instance(
@@ -629,23 +686,43 @@ def _spec_bound(spec: CoveringMonteCarloSpec | RadioMonteCarloSpec) -> float:
     return covering_sinking_bound(spec.num_agents, beta)
 
 
+def _trial_instance(
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, seed: int
+) -> CoveringInstance | RadioInstance:
+    if isinstance(spec, CoveringMonteCarloSpec):
+        return sample_covering_instance(
+            spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed
+        )
+    return sample_radio_instance(spec.num_agents, spec.alpha, seed)
+
+
+def _trial_games(
+    instances: Sequence[CoveringInstance] | Sequence[RadioInstance],
+) -> list[NormalFormGame]:
+    """The games of trial instances of one family."""
+    if isinstance(instances[0], CoveringInstance):
+        return make_covering_games(instances)
+    return [make_radio_game(instance) for instance in instances]
+
+
 def _trial_game(
     spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, seed: int
 ) -> NormalFormGame:
-    if isinstance(spec, CoveringMonteCarloSpec):
-        return make_covering_game(
-            sample_covering_instance(
-                spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed
-            )
-        )
-    return make_radio_game(sample_radio_instance(spec.num_agents, spec.alpha, seed))
+    return _trial_games([_trial_instance(spec, seed)])[0]
+
+
+def _num_profiles(instance: CoveringInstance | RadioInstance) -> int:
+    if isinstance(instance, CoveringInstance):
+        return math.prod(map(len, instance.options))
+    return 1 << instance.num_agents
 
 
 # Most states a batch of Monte Carlo trials may hold; a larger trial is a
-# batch of its own.  One sink search and one stationary solve serve a whole
-# batch, which saves the per-call costs of small trials.  Time and peak
-# memory of 50-trial covering-mc runs by budget are in CHANGES.md: from 2^11
-# to 2^12 states ran fastest, and the peak grows with the budget.
+# batch of its own.  One game build, one kernel build, one sink search and
+# one stationary solve serve a whole batch, which saves the per-call costs
+# of small trials.  Time and peak memory of 50-trial covering-mc runs by
+# budget are in CHANGES.md: from 2^11 to 2^12 states ran fastest, and the
+# peak grows with the budget.
 _BATCH_STATES = 1 << 11
 
 
@@ -661,16 +738,19 @@ def _trial_pos(
     return pos
 
 
-def _batches(games: Iterable[NormalFormGame]) -> Iterator[list[NormalFormGame]]:
-    """Consecutive games in batches of at most ``_BATCH_STATES`` states."""
-    batch: list[NormalFormGame] = []
+def _batches(
+    instances: Iterable[CoveringInstance | RadioInstance],
+) -> Iterator[list[CoveringInstance | RadioInstance]]:
+    """Consecutive instances in batches of at most ``_BATCH_STATES`` states."""
+    batch: list[CoveringInstance | RadioInstance] = []
     states = 0
-    for game in games:
-        if batch and states + game.num_profiles > _BATCH_STATES:
+    for instance in instances:
+        profiles = _num_profiles(instance)
+        if batch and states + profiles > _BATCH_STATES:
             yield batch
             batch, states = [], 0
-        batch.append(game)
-        states += game.num_profiles
+        batch.append(instance)
+        states += profiles
     if batch:
         yield batch
 
@@ -680,15 +760,16 @@ def _trial_prices(
 ) -> list[float]:
     """Every trial's price of sinking, from batches of consecutive trials.
 
-    After an error, drawing a game or analyzing a batch, the trials not yet
-    priced run again one at a time, so the first failing trial reports, as
-    when every trial runs on its own.
+    After an error, drawing an instance or building or analyzing a batch,
+    the trials not yet priced run again one at a time, so the first failing
+    trial reports, as when every trial runs on its own.
     """
     prices: list[float] = []
-    games = (_trial_game(spec, _trial_seed(master_seed, t)) for t in range(trials))
+    instances = (_trial_instance(spec, _trial_seed(master_seed, t)) for t in range(trials))
     try:
-        for batch in _batches(games):
-            prices += [pos for pos, _ in batch_price_of_sinking(batch, mode=BEST)]
+        for batch in _batches(instances):
+            games = _trial_games(batch)
+            prices += [pos for pos, _ in batch_price_of_sinking(games, mode=BEST)]
     except GameAnalysisError:
         prices += [_trial_pos(spec, master_seed, t) for t in range(len(prices), trials)]
     return prices

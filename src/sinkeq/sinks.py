@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import BEST, TransitionKernel, build_kernel, stack_kernels
+from .dynamics import BEST, TransitionKernel, build_batch_kernel, build_kernel
 from .errors import InvalidParametersError, NumericalFailureError
 from .game import NormalFormGame, positive_optimum
 
@@ -437,11 +437,16 @@ def stationary_distribution(
 def batch_sink_equilibria(
     games: Sequence[NormalFormGame], mode: str = BEST, tie_tol: float = 0.0
 ) -> list[list[SinkEquilibrium]]:
-    """``sink_equilibria`` of each of one or more games, found together: the
-    games' kernels are stacked into one block-diagonal kernel, which takes
-    one sink search and one stationary solve.  Each game gets exactly what
-    it gets alone."""
-    kernel = stack_kernels([build_kernel(game, mode=mode, tie_tol=tie_tol) for game in games])
+    """``sink_equilibria`` of each of one or more games with one player
+    count, found together: the games share one block-diagonal kernel,
+    which takes one sink search and one stationary solve.  Each game gets
+    exactly what it gets alone."""
+    if len(games) == 1:
+        # One game goes through ``build_kernel``, so a per-function
+        # profile of a single-game analysis names the kernel build.
+        kernel = build_kernel(games[0], mode=mode, tie_tol=tie_tol)
+    else:
+        kernel = build_batch_kernel(games, mode=mode, tie_tol=tie_tol)
     sinks = sink_components(kernel)
     pis = stationary_distributions(kernel, sinks)
     # Every sink's states, sink after sink.  Sinks come ordered by their

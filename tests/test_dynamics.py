@@ -1,17 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkeq.dynamics import (
     BEST,
     BETTER,
     best_response_set,
     better_response_set,
+    build_batch_kernel,
     build_kernel,
     is_singleton_br,
 )
 from sinkeq.errors import InvalidParametersError
 from sinkeq.game import NormalFormGame, is_nash
 from sinkeq.generators import counterexample_game, philox_rng, sample_random_game
+
+from reference_kernels import per_game_kernel, stack_kernels
 
 
 def single_player(utility):
@@ -144,6 +151,79 @@ class TestKernel:
             build_kernel(g, "softmax")
         with pytest.raises(InvalidParametersError):
             build_kernel(g, BEST, tie_tol=-0.1)
+
+
+def assert_same_kernel(got, want):
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.probs, want.probs)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def games_of(draw, n):
+    """A random game of ``n`` players with 1 to 4 actions each; payoffs on
+    a grid of quarters, so best and better responses often tie."""
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    rng = philox_rng(draw(st.integers(0, 2**32)), 0)
+    total = math.prod(counts)
+    return NormalFormGame(
+        counts, rng.uniform(0.0, 1.0, size=total), rng.integers(-4, 5, size=(n, total)) / 4
+    )
+
+
+@st.composite
+def game_batches(draw):
+    """One to five games that share a player count, with ragged action
+    counts."""
+    n = draw(st.integers(1, 3))
+    return draw(st.lists(games_of(n), min_size=1, max_size=5))
+
+
+class TestBatchKernel:
+    """The batch builder against per-game kernels stacked block-diagonally;
+    every array must match bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(game_batches(), st.sampled_from([BEST, BETTER]), st.sampled_from([0.0, 0.25, 0.6]))
+    def test_equals_stacked_per_game_kernels(self, games, mode, tie_tol):
+        want = stack_kernels([per_game_kernel(game, mode, tie_tol) for game in games])
+        assert_same_kernel(build_batch_kernel(games, mode, tie_tol), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(games_of), st.sampled_from([BEST, BETTER]))
+    def test_a_batch_of_one_is_build_kernel(self, game, mode):
+        kernel = build_kernel(game, mode, 0.25)
+        assert_same_kernel(build_batch_kernel([game], mode, 0.25), kernel)
+        assert_same_kernel(kernel, per_game_kernel(game, mode, 0.25))
+
+    def test_ragged_batch_with_one_action_players(self):
+        rng = philox_rng(3, 0)
+        games = [
+            sample_random_game(rng, counts)
+            for counts in [(1, 4, 2), (3, 1, 1), (2, 2, 4), (1, 1, 1), (4, 3, 1)]
+        ]
+        for mode in (BEST, BETTER):
+            want = stack_kernels([per_game_kernel(game, mode) for game in games])
+            assert_same_kernel(build_batch_kernel(games, mode), want)
+
+    def test_mixed_player_counts_are_refused(self):
+        games = [single_player([0.0, 1.0]), counterexample_game(1.0, 2.0)]
+        with pytest.raises(
+            InvalidParametersError,
+            match=r"^games in one batch must have the same number of players$",
+        ):
+            build_batch_kernel(games)
+
+    def test_refusals_match_build_kernel(self):
+        g = single_player([0.0, 1.0])
+        with pytest.raises(InvalidParametersError, match=r"^need at least one game$"):
+            build_batch_kernel([])
+        for mode, tie_tol in (("softmax", 0.0), (BEST, -0.1), (BEST, math.inf), (BETTER, math.nan)):
+            with pytest.raises(InvalidParametersError) as alone:
+                build_kernel(g, mode, tie_tol)
+            with pytest.raises(InvalidParametersError) as batched:
+                build_batch_kernel([g, g], mode, tie_tol)
+            assert str(batched.value) == str(alone.value)
 
 
 class TestSingletonCheck:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 import sinkeq.generators as generators
 import sinkeq.sinks as sinks
 from sinkeq.dynamics import BEST
-from sinkeq.errors import GameAnalysisError, InvalidParametersError, ValidationError
+from sinkeq.errors import (
+    DegenerateWelfareError,
+    GameAnalysisError,
+    InvalidParametersError,
+    ValidationError,
+)
 from sinkeq.game import NormalFormGame
 from sinkeq.generators import (
     BOUND_TOL,
@@ -25,6 +31,7 @@ from sinkeq.generators import (
     covering_sinking_bound,
     expected_covering_misalignment,
     make_covering_game,
+    make_covering_games,
     make_radio_game,
     philox_rng,
     radio_sinking_bound,
@@ -281,6 +288,92 @@ def test_union_sums_in_small_blocks_match_reference(monkeypatch):
     for seed in range(3):
         assert_matches_reference(sample_covering_instance(4, 8, 0.01, 0.01, seed))
     assert_matches_reference(sample_covering_instance(3, 70, 0.01, 0.2, 8, options_per_agent=5))
+
+
+def assert_batch_matches_alone(instances):
+    """``make_covering_games`` gives each instance, bit for bit, the game
+    that ``make_covering_game`` gives it alone."""
+    games = make_covering_games(instances)
+    assert len(games) == len(instances)
+    for game, instance in zip(games, instances):
+        alone = make_covering_game(instance)
+        assert game.action_counts == alone.action_counts
+        assert game.welfare.tobytes() == alone.welfare.tobytes()
+        assert game.utilities.tobytes() == alone.utilities.tobytes()
+
+
+def wide_instances(m, seeds):
+    """Covering instances over ``m`` regions with an empty option for each
+    agent and one option of every region, so unions run from 0 to m."""
+    values = tuple(philox_rng(m, 1).uniform(0.1, 1.0, size=m))
+    out = []
+    for seed in seeds:
+        drawn = sample_covering_instance(3, m, 0.01, 0.2, seed, options_per_agent=5)
+        options = tuple(opts + ((), tuple(range(m))) for opts in drawn.options)
+        out.append(CoveringInstance(values, options, bias=0.02, scale=0.3, seed=seed))
+    return out
+
+
+class TestBatchCoveringGames:
+    """The batch covering builder against the one-instance builder and the
+    per-profile reference loop."""
+
+    @pytest.mark.parametrize("m", [1, 8, 9, 17])
+    def test_region_counts(self, m):
+        instances = wide_instances(m, range(6))
+        assert_batch_matches_alone(instances)
+        for instance in instances[:2]:
+            assert_matches_reference(instance)
+
+    def test_mixed_region_counts(self):
+        # Union rows of one, two and three bytes in one batch, in both
+        # orders, with unions of 8 regions and more.
+        instances = [wide_instances(m, [m])[0] for m in (1, 8, 9, 17)]
+        assert max(len(subset) for opts in instances[-1].options for subset in opts) >= 8
+        assert_batch_matches_alone(instances)
+        assert_batch_matches_alone(instances[::-1])
+
+    def test_benchmark_shaped_batches(self):
+        for master_seed in (1, 1009):
+            instances = [
+                sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(master_seed, trial))
+                for trial in range(50)
+            ]
+            assert_batch_matches_alone(instances)
+
+    def test_small_summation_blocks(self, monkeypatch):
+        monkeypatch.setattr(generators, "_SUM_BLOCK", 7)
+        assert_batch_matches_alone(wide_instances(17, range(4)) + wide_instances(9, range(2)))
+
+    def test_game_key_holds_a_full_batch_of_one_profile_games(self):
+        # Every game has the same one union but its own estimates; a game
+        # key that wrapped would hand one game another's sums.
+        values = (0.5, 1.0, 2.0)
+        options = (((0, 2),), ((1,),))
+        instances = [
+            CoveringInstance(values, options, bias=0.01, scale=0.3, seed=seed)
+            for seed in range(generators._BATCH_STATES)
+        ]
+        games = make_covering_games(instances)
+        assert len({game.utilities.tobytes() for game in games}) == len(games)
+        assert_batch_matches_alone(instances)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(covering_instances(), min_size=1, max_size=4))
+    def test_random_batches(self, instances):
+        n = instances[0].num_agents
+        assert_batch_matches_alone([i for i in instances if i.num_agents == n])
+
+    def test_refusals(self):
+        two = sample_covering_instance(2, 3, 0.01, 0.01, seed=1)
+        three = sample_covering_instance(3, 3, 0.01, 0.01, seed=1)
+        with pytest.raises(
+            InvalidParametersError,
+            match=r"^covering instances in one batch must have the same number of agents$",
+        ):
+            make_covering_games([two, three])
+        with pytest.raises(InvalidParametersError, match=r"^need at least one covering instance$"):
+            make_covering_games([])
 
 
 class TestFoldedNormalMisalignment:
@@ -546,23 +639,35 @@ class TestBatchedMonteCarlo:
             assert len(batches) > 1 and max(batches) > 1
 
     @pytest.mark.parametrize("failing", [0, 9, 10, 17])
-    @pytest.mark.parametrize("where", ["draw", "analysis"])
+    @pytest.mark.parametrize("where", ["draw", "analysis", "build"])
     def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
         # Trials hold at most 256 states, so trials 9 and 10 sit inside
-        # the second or third batch of 2,048 states.
+        # the second or third batch of 2,048 states.  The batched run draws
+        # instances one by one and builds a batch's games together, so the
+        # failures go into the instance draw and the game build.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         bad_seed = _trial_seed(7, failing)
-        draw = generators._trial_game
+        draw = generators._trial_instance
+        estimate = generators.sample_covering_estimates
 
-        def patched(spec, seed):
-            game = draw(spec, seed)
+        def patched_draw(spec, seed):
+            instance = draw(spec, seed)
             if seed != bad_seed:
-                return game
+                return instance
             if where == "draw":
                 raise ValidationError("patched failure")
-            return NormalFormGame(game.action_counts, np.zeros(game.num_profiles), game.utilities)
+            # No region is worth anything, so the optimal welfare is zero.
+            return dataclasses.replace(instance, values=(0.0,) * instance.num_regions)
 
-        monkeypatch.setattr(generators, "_trial_game", patched)
+        def patched_estimate(instance):
+            if instance.seed == bad_seed:
+                raise ValidationError("patched failure")
+            return estimate(instance)
+
+        if where == "build":
+            monkeypatch.setattr(generators, "sample_covering_estimates", patched_estimate)
+        else:
+            monkeypatch.setattr(generators, "_trial_instance", patched_draw)
         with pytest.raises(GameAnalysisError) as loop:
             per_trial_monte_carlo(spec, 20, 7)
         with pytest.raises(GameAnalysisError) as batched:
@@ -570,6 +675,8 @@ class TestBatchedMonteCarlo:
         assert type(batched.value) is type(loop.value)
         assert str(batched.value) == str(loop.value)
         assert str(loop.value).startswith(f"trial {failing} (master_seed=7): ")
+        if where == "analysis":
+            assert type(loop.value) is DegenerateWelfareError
 
     def test_a_failing_solve_reports_as_in_the_loop(self, monkeypatch):
         # With no steps allowed, every sink of two or more states fails;

@@ -14,14 +14,15 @@ from sinkeq.dynamics import (
     TransitionKernel,
     best_response_set,
     better_response_set,
+    build_batch_kernel,
     build_kernel,
-    stack_kernels,
 )
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
     CoveringMonteCarloSpec,
     _batches,
-    _trial_game,
+    _trial_games,
+    _trial_instance,
     _trial_seed,
     make_covering_game,
     make_radio_game,
@@ -32,6 +33,8 @@ from sinkeq.generators import (
     sample_random_game,
 )
 from sinkeq.sinks import _tarjan, sink_components
+
+from reference_kernels import stack_kernels
 
 
 def reference_sets(game, mode, tie_tol):
@@ -303,12 +306,13 @@ def benchmark_pool_kernels():
             yield build_kernel(game, BEST)
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         for master in range(seed * 5, seed * 5 + 5):
-            games = [_trial_game(spec, _trial_seed(master, trial)) for trial in range(50)]
-            for game in games:
+            instances = [_trial_instance(spec, _trial_seed(master, trial)) for trial in range(50)]
+            for game in _trial_games(instances):
                 yield build_kernel(game, BEST)
-            # The block-diagonal kernels that run_monte_carlo searches.
-            for batch in _batches(games):
-                yield stack_kernels([build_kernel(game, BEST) for game in batch])
+            # The block-diagonal kernels that run_monte_carlo searches,
+            # built as it builds them.
+            for batch in _batches(instances):
+                yield build_batch_kernel(_trial_games(batch), BEST)
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):

@@ -15,7 +15,6 @@ from sinkeq.dynamics import (
     best_response_set,
     build_kernel,
     is_singleton_br,
-    stack_kernels,
 )
 from sinkeq.errors import DegenerateWelfareError, InvalidParametersError, NumericalFailureError
 from sinkeq.game import NormalFormGame, enumerate_nash
@@ -40,6 +39,8 @@ from sinkeq.sinks import (
     stationary_distribution,
     stationary_distributions,
 )
+
+from reference_kernels import stack_kernels
 
 
 def single_player(utility):
