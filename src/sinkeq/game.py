@@ -232,8 +232,8 @@ def game_to_dict(game: NormalFormGame) -> dict:
     """Plain-JSON description of a game (flat arrays in mixed-radix order)."""
     out = {
         "action_counts": list(game.action_counts),
-        "welfare": [float(x) for x in game.welfare],
-        "utilities": [[float(x) for x in row] for row in game.utilities],
+        "welfare": game.welfare.tolist(),
+        "utilities": game.utilities.tolist(),
     }
     if game.action_labels is not None:
         out["labels"] = [list(row) for row in game.action_labels]

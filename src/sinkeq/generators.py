@@ -156,7 +156,8 @@ class CoveringInstance:
             norm.append(tuple(rows))
         object.__setattr__(self, "options", tuple(norm))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        # rng.normal rejects a scale of -0.0.
+        # A scale of -0.0 is kept as 0.0, so the estimates' zeros have the
+        # signs that scale 0 gives them.
         object.__setattr__(self, "scale", self.scale + 0.0)
 
     @property
@@ -173,16 +174,24 @@ def sample_covering_estimates(instance: CoveringInstance) -> np.ndarray:
     instance seed so they never overlap the option-sampling stream."""
     rng = philox_rng(instance.seed, 1)
     values = np.asarray(instance.values)
-    n, m = instance.num_agents, instance.num_regions
-    return rng.normal(
-        loc=np.broadcast_to(values + instance.bias, (n, m)),
-        scale=np.broadcast_to(instance.scale * values, (n, m)),
-    )
+    z = rng.standard_normal((instance.num_agents, instance.num_regions))
+    # Bit for bit ``rng.normal`` over the broadcast means and deviations,
+    # which takes one standard normal per entry, in C order, and returns
+    # ``loc + scale * z``.
+    return (values + instance.bias) + (instance.scale * values) * z
 
 
 # Most table entries ``make_covering_games`` gathers into one block for its
 # union sums, which bounds the memory a block takes (8 MB).
 _SUM_BLOCK = 1 << 20
+
+
+def _words(rows: np.ndarray, width: int) -> np.ndarray:
+    """Each byte row as a big-endian number in ``width`` 64-bit words,
+    most significant first."""
+    padded = np.zeros((len(rows), 8 * width), dtype=np.uint8)
+    padded[:, 8 * width - rows.shape[1] :] = rows
+    return padded.view(">u8").astype(np.uint64)
 
 
 def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
@@ -242,10 +251,11 @@ def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFor
     bits = np.packbits(masks, axis=1)
     firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
 
-    # Each profile's key: its game, in as few big-endian bytes as number
-    # the games (none for one game), then the region bits of its union.
-    # Agent i's option at a profile is digit i of the game's flat index,
-    # agent 0 varying fastest.
+    # Each profile's key: its game, in as few bytes as number the games
+    # (none for one game), then the region bits of its union, read as one
+    # big-endian number in ``width`` 64-bit words, so that keys sort in the
+    # order of their bytes.  Agent i's option at a profile is digit i of
+    # the game's flat index, agent 0 varying fastest.
     profiles = sum(totals)
     if len(instances) == 1:
         game, rest = 0, np.arange(profiles)
@@ -253,20 +263,29 @@ def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFor
         game = np.repeat(np.arange(len(instances)), totals)
         rest = np.arange(profiles) - np.repeat(np.cumsum(totals) - totals, totals)
     prefix = ((len(instances) - 1).bit_length() + 7) // 8
-    keys = np.empty((profiles, prefix + bits.shape[1]), dtype=np.uint8)
-    keys[:, :prefix] = np.asarray(game, dtype=">u8").reshape(-1, 1).view(np.uint8)[:, 8 - prefix :]
-    unions = keys[:, prefix:]
-    unions[:] = 0
+    width = (prefix + bits.shape[1] + 7) // 8
+    ids = np.zeros((len(instances), prefix + bits.shape[1]), dtype=np.uint8)
+    ids[:, :prefix] = (
+        np.arange(len(instances), dtype=">u8").reshape(-1, 1).view(np.uint8)[:, 8 - prefix :]
+    )
+    keys = np.repeat(_words(ids, width), totals, axis=0)
+    unions = _words(bits, width)
     for i in range(n):
         rest, digit = np.divmod(rest, counts[game, i])
-        unions |= bits[firsts[game, i] + digit]
-    # Sort the byte rows as opaque keys; np.unique(axis=0) does the same
-    # through a slower structured dtype.
-    distinct, inverse = np.unique(
-        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_inverse=True
-    )
+        keys |= unions[firsts[game, i] + digit]
+    # Sort the keys on their words, most significant first, and number the
+    # distinct ones in that order.
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(profiles, dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+    distinct = keys[new]
+    inverse = np.empty(profiles, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
     covered = np.unpackbits(
-        distinct.view(np.uint8).reshape(len(distinct), -1)[:, prefix:], axis=1, count=m
+        distinct.astype(">u8").view(np.uint8).reshape(len(distinct), -1)[:, -bits.shape[1] :],
+        axis=1,
+        count=m,
     ).astype(bool)
     owner = np.empty(len(distinct), dtype=np.int64)
     owner[inverse] = game
@@ -308,7 +327,16 @@ def sample_covering_instance(
 ) -> CoveringInstance:
     """Random instance with unit region values: each agent gets up to
     ``options_per_agent`` distinct random subsets, resampled until at least
-    one is nonempty."""
+    one is nonempty.
+
+    The subsets come from spawn child 0 of ``seed`` as blocks of
+    ``options_per_agent x num_regions`` fair bits, one block per draw.
+    Agent i takes the i-th block that is not all zero, so an empty block
+    is redrawn for the same agent.  One call draws a block for every agent
+    still without one, and calls repeat until each has one; a bit takes
+    one 32-bit output of the stream whatever the call, so the agents get
+    the blocks that drawing one block at a time gives them.
+    """
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
     if num_agents * options_per_agent * num_regions > MAX_PROFILES:
@@ -316,18 +344,14 @@ def sample_covering_instance(
             f"instance would draw more than {MAX_PROFILES} option bits"
         )
     rng = philox_rng(seed, 0)
-    draws = []
-    for _ in range(num_agents):
-        while True:
-            masks = rng.integers(0, 2, size=(options_per_agent, num_regions))
-            if masks.any():
-                break
-        draws.append(masks)
+    draws: list[list[list[int]]] = []
+    while len(draws) < num_agents:
+        blocks = rng.integers(0, 2, size=(num_agents - len(draws), options_per_agent, num_regions))
+        draws += compress(blocks.tolist(), blocks.any(axis=(1, 2)).tolist())
     # A repeated option keeps its first occurrence, in draw order.
     regions = range(num_regions)
     options = _SortedOptions(
-        tuple(dict.fromkeys(tuple(compress(regions, row)) for row in masks.tolist()))
-        for masks in draws
+        tuple(dict.fromkeys(tuple(compress(regions, row)) for row in masks)) for masks in draws
     )
     return CoveringInstance(
         values=(1.0,) * num_regions,
@@ -360,7 +384,7 @@ def covering_instance_from_dict(obj: dict) -> CoveringInstance:
             scale=float(obj["scale"]),
             seed=int(obj["seed"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"covering instance: {exc}") from exc
 
 
@@ -528,9 +552,9 @@ def radio_instance_from_dict(obj: dict) -> RadioInstance:
             weights=np.asarray(obj["weights"], dtype=float),
             alpha=float(obj["alpha"]),
             estimates=np.asarray(obj["estimates"], dtype=float),
-            seed=obj.get("seed"),
+            seed=None if obj.get("seed") is None else int(obj["seed"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"radio instance: {exc}") from exc
 
 

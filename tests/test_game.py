@@ -249,6 +249,15 @@ class TestJson:
             st.none() | st.tuples(*(st.lists(st.text(), min_size=c, max_size=c) for c in counts))
         )
         g = NormalFormGame(counts, welfare, utilities, labels)
+        # The JSON text of one ``float(x)`` per entry.
+        expected = {
+            "action_counts": list(counts),
+            "welfare": [float(x) for x in g.welfare],
+            "utilities": [[float(x) for x in row] for row in g.utilities],
+        }
+        if labels is not None:
+            expected["labels"] = [list(row) for row in g.action_labels]
+        assert json.dumps(game_to_dict(g)) == json.dumps(expected)
         clone = game_from_dict(game_to_dict(g))
         assert clone.action_counts == g.action_counts
         np.testing.assert_array_equal(clone.welfare, g.welfare)

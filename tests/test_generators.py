@@ -152,6 +152,26 @@ class TestCoveringGames:
             make_covering_game(clone).utilities, make_covering_game(inst).utilities
         )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(seed="abc"),
+            lambda d: d.update(bias="x"),
+            lambda d: d.update(scale="x"),
+            lambda d: d["options"][0].append(["a"]),
+            lambda d: d.pop("values"),
+            lambda d: d.update(options=5),
+        ],
+        ids=["seed", "bias", "scale", "region", "missing", "options"],
+    )
+    def test_malformed_instance_dicts_are_refused(self, edit):
+        from sinkeq.generators import covering_instance_from_dict, covering_instance_to_dict
+
+        obj = covering_instance_to_dict(sample_covering_instance(2, 3, 0.01, 0.02, seed=123))
+        edit(obj)
+        with pytest.raises(ValidationError, match=r"^covering instance: "):
+            covering_instance_from_dict(obj)
+
 
 def reference_covering_tables(instance):
     """Per-profile loop: OR the chosen options' region masks, then sum the
@@ -184,20 +204,40 @@ def reference_covering_tables(instance):
 def reference_covering_options(num_agents, num_regions, seed, options_per_agent=4):
     """The draws of ``sample_covering_instance``, deduplicated by scanning the
     list of subsets seen so far."""
+    return reference_covering_draws(num_agents, num_regions, seed, options_per_agent)[0]
+
+
+def reference_covering_draws(num_agents, num_regions, seed, options_per_agent):
+    """``reference_covering_options`` from one block draw at a time, and the
+    number of all-zero blocks drawn again."""
     rng = philox_rng(seed, 0)
     options = []
+    redraws = 0
     for _ in range(num_agents):
         while True:
             masks = rng.integers(0, 2, size=(options_per_agent, num_regions))
             if masks.any():
                 break
+            redraws += 1
         seen = []
         for row in masks:
             subset = tuple(int(r) for r in np.flatnonzero(row))
             if subset not in seen:
                 seen.append(subset)
         options.append(tuple(seen))
-    return tuple(options)
+    return tuple(options), redraws
+
+
+def reference_covering_estimates(instance):
+    """The estimates as ``rng.normal`` draws them over broadcast means and
+    deviations."""
+    rng = philox_rng(instance.seed, 1)
+    values = np.asarray(instance.values)
+    n, m = instance.num_agents, instance.num_regions
+    return rng.normal(
+        loc=np.broadcast_to(values + instance.bias, (n, m)),
+        scale=np.broadcast_to(instance.scale * values, (n, m)),
+    )
 
 
 def assert_matches_reference(instance):
@@ -270,6 +310,41 @@ class TestCoveringReference:
     @given(covering_instances())
     def test_random_instances(self, instance):
         assert_matches_reference(instance)
+
+    @pytest.mark.parametrize("options_per_agent", [1, 4])
+    @pytest.mark.parametrize("num_regions", [1, 2])
+    def test_options_with_redrawn_blocks(self, num_regions, options_per_agent):
+        # With few bits a block, many blocks are all zero and drawn again.
+        redrawn = 0
+        for num_agents in (1, 3, 5):
+            for seed in range(200):
+                instance = sample_covering_instance(
+                    num_agents, num_regions, 0.01, 0.01, seed, options_per_agent
+                )
+                options, redraws = reference_covering_draws(
+                    num_agents, num_regions, seed, options_per_agent
+                )
+                assert instance.options == options
+                redrawn += redraws > 0
+        assert redrawn > 0
+
+    def test_estimates_match_the_broadcast_normal_draw(self):
+        instances = [
+            sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(1, trial)) for trial in range(20)
+        ]
+        instances += [
+            CoveringInstance((0.0, 0.5, 3.0, 1e-300, 7e5), (((0,),),) * 3, bias, scale, seed)
+            for bias, scale, seed in [(0.0, 0.0, 1), (-0.3, 2.0, 2), (1e-9, 1e9, 3), (5.0, 0.0, 4)]
+        ]
+        for instance in instances:
+            drawn = sample_covering_estimates(instance)
+            assert drawn.tobytes() == reference_covering_estimates(instance).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(covering_instances())
+    def test_random_estimates_match_the_broadcast_normal_draw(self, instance):
+        drawn = sample_covering_estimates(instance)
+        assert drawn.tobytes() == reference_covering_estimates(instance).tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(8, 9), (127, 129, 300), (8191, 8193, 9000)])
@@ -357,6 +432,27 @@ class TestBatchCoveringGames:
         games = make_covering_games(instances)
         assert len({game.utilities.tobytes() for game in games}) == len(games)
         assert_batch_matches_alone(instances)
+
+    @pytest.mark.parametrize(
+        "games, m",
+        [(1, 64), (1, 65), (2, 56), (256, 64), (257, 48), (300, 56)],
+        ids=str,
+    )
+    def test_union_keys_of_eight_and_nine_bytes(self, games, m):
+        # A key is the game, in 0, 1 or 2 bytes, then ceil(m / 8) bytes of
+        # union bits: 8 bytes sort as one integer, 9 as two.  Every game has
+        # unions that differ only in the lowest or the highest region.
+        prefix = ((games - 1).bit_length() + 7) // 8
+        assert prefix + (m + 7) // 8 in (8, 9)
+        values = tuple(philox_rng(m, 2).uniform(0.1, 1.0, size=m))
+        options = (((0,), (m - 1,), (0, m - 1)), ((), (m - 1,), tuple(range(0, m, 7))))
+        instances = [
+            CoveringInstance(values, options, bias=0.02, scale=0.3, seed=seed)
+            for seed in range(games)
+        ]
+        assert_batch_matches_alone(instances)
+        for instance in instances[:: max(1, games // 3)]:
+            assert_matches_reference(instance)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(covering_instances(), min_size=1, max_size=4))
@@ -469,6 +565,26 @@ class TestRadioGames:
         np.testing.assert_array_equal(
             make_radio_game(clone).welfare, make_radio_game(inst).welfare
         )
+        assert clone.seed == inst.seed
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(seed="zz"),
+            lambda d: d.update(alpha="x"),
+            lambda d: d["weights"][0].__setitem__(1, "a"),
+            lambda d: d["estimates"][1][0].__setitem__(2, "a"),
+            lambda d: d.pop("weights"),
+        ],
+        ids=["seed", "alpha", "weight", "estimate", "missing"],
+    )
+    def test_malformed_instance_dicts_are_refused(self, edit):
+        from sinkeq.generators import radio_instance_from_dict, radio_instance_to_dict
+
+        obj = radio_instance_to_dict(sample_radio_instance(3, 0.9, seed=4))
+        edit(obj)
+        with pytest.raises(ValidationError, match=r"^radio instance: "):
+            radio_instance_from_dict(obj)
 
 
 def one_shot_radio_tables(instance):

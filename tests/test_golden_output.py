@@ -98,6 +98,14 @@ def invocations(names) -> list[list[str]]:
                 "--seed", "3", "--format", "csv"])
     out.append(["radio-mc", "--n", "12", "--alpha", "0.8", "--trials", "2",
                 "--format", "csv"])
+    # Covering trials of one and two regions, where many agents draw an
+    # all-empty block of options and draw again.  The noise makes each
+    # trial's price depend on both the options and the estimates; without
+    # it every trial prices at 1.0.
+    for regions in ("1", "2"):
+        out.append(["covering-mc", "--n", "3", "--regions", regions,
+                    "--bias", "-0.5", "--scale", "1",
+                    "--trials", "20", "--seed", "2", "--format", "csv"])
     return out
 
 
