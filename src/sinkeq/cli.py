@@ -254,68 +254,82 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_INPUT = _arg("--input", required=True)
+_MODE = (
+    _arg("--mode", choices=[BEST, BETTER], default=BEST),
+    _arg("--tie-tol", dest="tie_tol", type=float, default=0.0),
+)
+_FORMAT = _arg("--format", choices=["json", "csv"], default="json")
+_N = _arg("--n", type=int, required=True)
+_MONTE_CARLO = (
+    _arg("--trials", type=int, required=True),
+    _arg("--seed", type=int, default=0),
+    _FORMAT,
+)
+
+# Each subcommand's help, handler and arguments, in help order.
+_COMMANDS = {
+    "analyze": ("equilibria, sinks, and welfare ratios", cmd_analyze, (_INPUT, *_MODE, _FORMAT)),
+    "smoothness": (
+        "best (lambda, mu) certificate",
+        cmd_smoothness,
+        (_INPUT, _arg("--common-interest", action="store_true")),
+    ),
+    "bounds": ("misalignment floors next to the exact price of sinking", cmd_bounds, (_INPUT,)),
+    "counterexample": (
+        "smoothness gap game plus its analysis",
+        cmd_counterexample,
+        (
+            _arg("--lambda", dest="lam", type=float, required=True),
+            _arg("--mu", type=float, required=True),
+        ),
+    ),
+    "covering-mc": (
+        "Monte Carlo over covering instances",
+        cmd_covering_mc,
+        (
+            _N,
+            _arg("--regions", type=int, required=True),
+            _arg("--bias", type=float, default=0.0),
+            _arg("--scale", type=float, default=0.0),
+            *_MONTE_CARLO,
+        ),
+    ),
+    "radio-mc": (
+        "Monte Carlo over interference instances",
+        cmd_radio_mc,
+        (_N, _arg("--alpha", type=float, required=True), *_MONTE_CARLO),
+    ),
+    "export-kernel": ("edge-list CSV of a response kernel", cmd_export_kernel, (_INPUT, *_MODE)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; only ``command``'s subparser when it names a
+    subcommand, which takes about a third of the time of building all seven."""
     parser = _Parser(
         prog="sinkeq",
         description="Sink-equilibrium analysis for finite normal-form games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_mode=True, with_format=True):
-        if with_mode:
-            p.add_argument("--mode", choices=[BEST, BETTER], default=BEST)
-            p.add_argument("--tie-tol", dest="tie_tol", type=float, default=0.0)
-        if with_format:
-            p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = sub.add_parser("analyze", help="equilibria, sinks, and welfare ratios")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("smoothness", help="best (lambda, mu) certificate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--common-interest", action="store_true")
-    p.set_defaults(func=cmd_smoothness)
-
-    p = sub.add_parser("bounds", help="misalignment floors next to the exact price of sinking")
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("counterexample", help="smoothness gap game plus its analysis")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("covering-mc", help="Monte Carlo over covering instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--regions", type=int, required=True)
-    p.add_argument("--bias", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=0.0)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p, with_mode=False)
-    p.set_defaults(func=cmd_covering_mc)
-
-    p = sub.add_parser("radio-mc", help="Monte Carlo over interference instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p, with_mode=False)
-    p.set_defaults(func=cmd_radio_mc)
-
-    p = sub.add_parser("export-kernel", help="edge-list CSV of a response kernel")
-    p.add_argument("--input", required=True)
-    add_common(p, with_format=False)
-    p.set_defaults(func=cmd_export_kernel)
-
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         # A numpy warning would print ahead of the one error line; tables
         # made non-finite are refused where they are built.
         with np.errstate(all="ignore"):

@@ -11,7 +11,12 @@ Three concrete families are provided:
 
 All randomness flows through counter-based Philox generators keyed by
 ``SeedSequence(entropy, spawn_key)``, so trial streams are reproducible
-across platforms and independent of execution order.
+across platforms and independent of execution order.  ``philox_rng`` and
+the public samplers key their generators through numpy's ``SeedSequence``.
+Monte Carlo runs and ``make_covering_games`` derive the seeds and Philox
+keys of many streams in one vectorized pass (``streams.spawn_states``)
+that reproduces ``SeedSequence`` bit for bit, and re-key one Philox per
+stream instead of building a generator each; the streams are unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .dynamics import BEST, is_singleton_br
 from .errors import GameAnalysisError, InvalidParametersError, ValidationError
 from .game import NormalFormGame, enumerate_nash
 from .sinks import batch_price_of_sinking, price_of_sinking
+from .streams import philox_generator, rekeyed, spawn_states, stream_keys
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
 
 BOUND_TOL = 1e-9
@@ -171,14 +177,32 @@ class CoveringInstance:
 
 def sample_covering_estimates(instance: CoveringInstance) -> np.ndarray:
     """Per-(agent, region) value estimates, drawn from spawn child 1 of the
-    instance seed so they never overlap the option-sampling stream."""
-    rng = philox_rng(instance.seed, 1)
-    values = np.asarray(instance.values)
-    z = rng.standard_normal((instance.num_agents, instance.num_regions))
-    # Bit for bit ``rng.normal`` over the broadcast means and deviations,
-    # which takes one standard normal per entry, in C order, and returns
-    # ``loc + scale * z``.
-    return (values + instance.bias) + (instance.scale * values) * z
+    instance seed so they never overlap the option-sampling stream.
+
+    These are the estimates ``make_covering_games`` draws for the instance."""
+    return _covering_estimates([instance])[0]
+
+
+def _covering_estimates(
+    instances: Sequence[CoveringInstance],
+    keys: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> list[np.ndarray]:
+    """Each instance's estimates, drawn by ``rng`` (a new Philox if not
+    given) re-keyed to the key of the instance's estimate stream in
+    ``keys``.  The keys are derived here, in one pass, if not given."""
+    if keys is None:
+        keys = stream_keys([instance.seed for instance in instances], 1)
+    rng = rng or philox_generator()
+    out = []
+    for instance, key in zip(instances, keys):
+        values = np.asarray(instance.values)
+        z = rekeyed(rng, key).standard_normal((instance.num_agents, instance.num_regions))
+        # Bit for bit ``rng.normal`` over the broadcast means and deviations,
+        # which takes one standard normal per entry, in C order, and returns
+        # ``loc + scale * z``.
+        out.append((values + instance.bias) + (instance.scale * values) * z)
+    return out
 
 
 # Most table entries ``make_covering_games`` gathers into one block for its
@@ -203,9 +227,12 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     return make_covering_games([instance])[0]
 
 
-def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
+def make_covering_games(
+    instances: Sequence[CoveringInstance], estimates: Sequence[np.ndarray] | None = None
+) -> list[NormalFormGame]:
     """``make_covering_game`` of each of one or more instances with one
-    agent count, built together.
+    agent count, built together.  ``estimates`` holds each instance's
+    ``sample_covering_estimates``, which are drawn here if not given.
 
     Profiles share few distinct unions, so each distinct union of a game is
     summed once and scattered back to its profiles.  Unions of k regions
@@ -234,10 +261,12 @@ def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFor
     m = max(instance.num_regions for instance in instances)
     # Welfare values, then each agent's estimates, per game; zero past the
     # game's regions, which no union covers.
+    if estimates is None:
+        estimates = _covering_estimates(instances)
     tables = np.zeros((len(instances), 1 + n, m))
-    for table, instance in zip(tables, instances):
+    for table, instance, estimate in zip(tables, instances, estimates):
         table[0, : instance.num_regions] = instance.values
-        table[1:, : instance.num_regions] = sample_covering_estimates(instance)
+        table[1:, : instance.num_regions] = estimate
 
     # Region bits of every option of every agent of every game, one byte
     # row per option, in that order.
@@ -337,13 +366,28 @@ def sample_covering_instance(
     one 32-bit output of the stream whatever the call, so the agents get
     the blocks that drawing one block at a time gives them.
     """
+    return _covering_instance(num_agents, num_regions, bias, scale, seed, options_per_agent)
+
+
+def _covering_instance(
+    num_agents: int,
+    num_regions: int,
+    bias: float,
+    scale: float,
+    seed: int,
+    options_per_agent: int = 4,
+    rng: np.random.Generator | None = None,
+) -> CoveringInstance:
+    """``sample_covering_instance``, drawn from ``rng`` when given: a
+    generator keyed as ``philox_rng(seed, 0)`` is."""
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
     if num_agents * options_per_agent * num_regions > MAX_PROFILES:
         raise InvalidParametersError(
             f"instance would draw more than {MAX_PROFILES} option bits"
         )
-    rng = philox_rng(seed, 0)
+    if rng is None:
+        rng = philox_rng(seed, 0)
     draws: list[list[list[int]]] = []
     while len(draws) < num_agents:
         blocks = rng.integers(0, 2, size=(num_agents - len(draws), options_per_agent, num_regions))
@@ -479,6 +523,18 @@ def sample_radio_instance(
     Sampling factors log-uniformly on [alpha, 1/alpha] keeps ratios symmetric
     around 1; with alpha = 1 every estimate equals the true weight exactly.
     """
+    return _radio_instance(num_agents, alpha, seed, weights)
+
+
+def _radio_instance(
+    num_agents: int,
+    alpha: float,
+    seed: int,
+    weights: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> RadioInstance:
+    """``sample_radio_instance``, drawn from ``rng`` when given: a generator
+    keyed as ``philox_rng(seed, 0)`` is."""
     if num_agents < 2:
         raise InvalidParametersError("need at least two agents")
     if not 0.0 < alpha <= 1.0:
@@ -486,7 +542,8 @@ def sample_radio_instance(
     # The estimates alone take num_agents**3 floats: refuse before drawing
     # them, and before a huge count makes the shift itself overflow.
     _checked_profiles(1 << min(num_agents, MAX_PROFILES.bit_length()))
-    rng = philox_rng(seed, 0)
+    if rng is None:
+        rng = philox_rng(seed, 0)
     n = num_agents
     if weights is None:
         weights = np.zeros((n, n))
@@ -711,21 +768,30 @@ def _spec_bound(spec: CoveringMonteCarloSpec | RadioMonteCarloSpec) -> float:
 
 
 def _trial_instance(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, seed: int
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
+    seed: int,
+    rng: np.random.Generator | None = None,
 ) -> CoveringInstance | RadioInstance:
+    """The instance of the trial with ``seed``, drawn from ``rng`` when
+    given: a generator keyed as ``philox_rng(seed, 0)`` is."""
     if isinstance(spec, CoveringMonteCarloSpec):
-        return sample_covering_instance(
-            spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed
+        return _covering_instance(
+            spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed, rng=rng
         )
-    return sample_radio_instance(spec.num_agents, spec.alpha, seed)
+    return _radio_instance(spec.num_agents, spec.alpha, seed, rng=rng)
 
 
 def _trial_games(
     instances: Sequence[CoveringInstance] | Sequence[RadioInstance],
+    estimate_keys: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
 ) -> list[NormalFormGame]:
-    """The games of trial instances of one family."""
+    """The games of trial instances of one family; covering estimates are
+    drawn as ``_covering_estimates(instances, estimate_keys, rng)``."""
     if isinstance(instances[0], CoveringInstance):
-        return make_covering_games(instances)
+        return make_covering_games(
+            instances, _covering_estimates(instances, estimate_keys, rng)
+        )
     return [make_radio_game(instance) for instance in instances]
 
 
@@ -762,18 +828,47 @@ def _trial_pos(
     return pos
 
 
+# Trials whose seeds and stream keys one ``spawn_states`` pass derives.
+_KEY_CHUNK = 1 << 10
+
+
+def _trial_draws(
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
+    trials: int,
+    master_seed: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[CoveringInstance | RadioInstance, np.ndarray]]:
+    """Each trial's instance and the Philox keys of its other streams: the
+    estimates (spawn child 1 of the trial seed) of a covering trial, none
+    of an interference trial.
+
+    The trial seeds, and then the keys of each trial's streams, come from
+    one ``spawn_states`` pass per ``_KEY_CHUNK`` trials, and ``rng``,
+    re-keyed, draws every instance."""
+    streams = np.arange(1 + isinstance(spec, CoveringMonteCarloSpec), dtype=np.uint64)
+    for lo in range(0, trials, _KEY_CHUNK):
+        chunk = np.arange(lo, min(lo + _KEY_CHUNK, trials), dtype=np.uint64)
+        seeds = spawn_states(master_seed, chunk, 2).view("<u8")[:, 0]
+        keys = spawn_states(
+            np.repeat(seeds, len(streams)), np.tile(streams, len(seeds)), 4
+        ).view("<u8").reshape(len(seeds), len(streams), 2)
+        for seed, key in zip(seeds.tolist(), keys):
+            yield _trial_instance(spec, seed, rekeyed(rng, key[0])), key[1:]
+
+
 def _batches(
-    instances: Iterable[CoveringInstance | RadioInstance],
-) -> Iterator[list[CoveringInstance | RadioInstance]]:
-    """Consecutive instances in batches of at most ``_BATCH_STATES`` states."""
-    batch: list[CoveringInstance | RadioInstance] = []
+    draws: Iterable[tuple[CoveringInstance | RadioInstance, np.ndarray]],
+) -> Iterator[list[tuple[CoveringInstance | RadioInstance, np.ndarray]]]:
+    """Consecutive trial draws in batches of at most ``_BATCH_STATES``
+    states."""
+    batch: list[tuple[CoveringInstance | RadioInstance, np.ndarray]] = []
     states = 0
-    for instance in instances:
-        profiles = _num_profiles(instance)
+    for draw in draws:
+        profiles = _num_profiles(draw[0])
         if batch and states + profiles > _BATCH_STATES:
             yield batch
             batch, states = [], 0
-        batch.append(instance)
+        batch.append(draw)
         states += profiles
     if batch:
         yield batch
@@ -789,10 +884,11 @@ def _trial_prices(
     trial reports, as when every trial runs on its own.
     """
     prices: list[float] = []
-    instances = (_trial_instance(spec, _trial_seed(master_seed, t)) for t in range(trials))
+    rng = philox_generator()
     try:
-        for batch in _batches(instances):
-            games = _trial_games(batch)
+        for batch in _batches(_trial_draws(spec, trials, master_seed, rng)):
+            instances, keys = zip(*batch)
+            games = _trial_games(instances, np.vstack(keys), rng)
             prices += [pos for pos, _ in batch_price_of_sinking(games, mode=BEST)]
     except GameAnalysisError:
         prices += [_trial_pos(spec, master_seed, t) for t in range(len(prices), trials)]

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sinkeq.generators as generators
 import sinkeq.sinks as sinks
+import sinkeq.streams as streams
 from sinkeq.dynamics import BEST
 from sinkeq.errors import (
     DegenerateWelfareError,
@@ -759,15 +760,16 @@ class TestBatchedMonteCarlo:
     def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
         # Trials hold at most 256 states, so trials 9 and 10 sit inside
         # the second or third batch of 2,048 states.  The batched run draws
-        # instances one by one and builds a batch's games together, so the
-        # failures go into the instance draw and the game build.
+        # instances one by one, from a generator it passes in, and draws the
+        # estimates of a batch's games together, so the failures go into the
+        # instance draw and the estimate draw.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         bad_seed = _trial_seed(7, failing)
         draw = generators._trial_instance
-        estimate = generators.sample_covering_estimates
+        estimate = generators._covering_estimates
 
-        def patched_draw(spec, seed):
-            instance = draw(spec, seed)
+        def patched_draw(spec, seed, *rng):
+            instance = draw(spec, seed, *rng)
             if seed != bad_seed:
                 return instance
             if where == "draw":
@@ -775,13 +777,13 @@ class TestBatchedMonteCarlo:
             # No region is worth anything, so the optimal welfare is zero.
             return dataclasses.replace(instance, values=(0.0,) * instance.num_regions)
 
-        def patched_estimate(instance):
-            if instance.seed == bad_seed:
+        def patched_estimate(instances, *keys_and_rng):
+            if any(instance.seed == bad_seed for instance in instances):
                 raise ValidationError("patched failure")
-            return estimate(instance)
+            return estimate(instances, *keys_and_rng)
 
         if where == "build":
-            monkeypatch.setattr(generators, "sample_covering_estimates", patched_estimate)
+            monkeypatch.setattr(generators, "_covering_estimates", patched_estimate)
         else:
             monkeypatch.setattr(generators, "_trial_instance", patched_draw)
         with pytest.raises(GameAnalysisError) as loop:
@@ -793,6 +795,15 @@ class TestBatchedMonteCarlo:
         assert str(loop.value).startswith(f"trial {failing} (master_seed=7): ")
         if where == "analysis":
             assert type(loop.value) is DegenerateWelfareError
+
+    @pytest.mark.parametrize(
+        "spec, trials",
+        [(CoveringMonteCarloSpec(3, 5, 0.2, 0.4), 25), (RadioMonteCarloSpec(3, 0.7), 16)],
+        ids=["covering", "radio"],
+    )
+    def test_seed_chunks_do_not_change_results(self, monkeypatch, spec, trials):
+        monkeypatch.setattr(generators, "_KEY_CHUNK", 7)
+        assert run_monte_carlo(spec, trials, 4) == per_trial_monte_carlo(spec, trials, 4)
 
     def test_a_failing_solve_reports_as_in_the_loop(self, monkeypatch):
         # With no steps allowed, every sink of two or more states fails;
@@ -817,3 +828,107 @@ class TestSeedPlumbing:
         a = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
         b = philox_rng(_trial_seed(7, 4), 0).uniform(size=4)
         assert not np.array_equal(a, b)
+
+
+def seed_sequence_states(entropy, spawn_key, words):
+    return np.random.SeedSequence(entropy, spawn_key=(spawn_key,)).generate_state(words)
+
+
+def philox_key(seed, stream):
+    philox = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    return philox.state["state"]["key"]
+
+
+class TestSpawnStates:
+    """``spawn_states`` and ``stream_keys`` against numpy's ``SeedSequence``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master=st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**160, 2**200 + 3]),
+            st.integers(0, 2**300),
+        ),
+        trials=st.lists(
+            st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32]), st.integers(0, 2**40)),
+            min_size=1,
+            max_size=6,
+        ),
+        words=st.integers(1, 9),
+    )
+    @example(master=2**160, trials=[2**32, 0, 2**32 + 1, 7], words=2)
+    @example(master=2**32, trials=[2**32 - 1, 2**32], words=4)
+    def test_trial_seeds(self, master, trials, words):
+        got = streams.spawn_states(master, np.array(trials, dtype=np.uint64), words)
+        assert got.dtype == np.uint32 and got.shape == (len(trials), words)
+        for trial, row in zip(trials, got):
+            assert np.array_equal(row, seed_sequence_states(master, trial, words))
+
+    @pytest.mark.parametrize("master_seed", [5, 6, 7, 8, 9, 5045, 2**160])
+    def test_trial_seeds_of_a_run(self, master_seed):
+        seeds = streams.spawn_states(master_seed, np.arange(50, dtype=np.uint64), 2)
+        expected = [_trial_seed(master_seed, t) for t in range(50)]
+        assert seeds.view("<u8")[:, 0].tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.one_of(
+                st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        stream=st.sampled_from([0, 1]),
+    )
+    @example(seeds=[0, 2**64 - 1], stream=1)
+    def test_stream_keys(self, seeds, stream):
+        keys = streams.stream_keys(seeds, stream)
+        assert keys.shape == (len(seeds), 2)
+        for seed, key in zip(seeds, keys):
+            assert np.array_equal(key, philox_key(seed, stream))
+
+    def test_stream_keys_of_seeds_past_uint64(self):
+        seeds = [2**64, 3, 2**200 + 1]
+        keys = streams.stream_keys(seeds, 1)
+        for seed, key in zip(seeds, keys):
+            assert np.array_equal(key, philox_key(seed, 1))
+
+    def test_negative_entropy_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(ValueError):
+            streams.spawn_states(-1, np.zeros(1, dtype=np.uint64), 2)
+
+
+class TestRekeyedDraws:
+    """A re-keyed generator draws what a new ``philox_rng`` draws."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.integers(0, 2, size=(3, 4, 5)),
+            lambda rng: rng.standard_normal((4, 8)),
+            lambda rng: rng.uniform(-1.0, 1.0, size=9),
+        ],
+        ids=["integers", "standard_normal", "uniform"],
+    )
+    def test_draws(self, draw):
+        rng = streams.philox_generator()
+        for seed in (0, 5, 2**64 - 1):
+            for stream in (0, 1):
+                # Leave half a 64-bit word and a part-read buffer behind.
+                rng.integers(0, 2, size=3)
+                rng.random(3)
+                rekeyed = streams.rekeyed(rng, streams.stream_keys([seed], stream)[0])
+                assert draw(rekeyed).tobytes() == draw(philox_rng(seed, stream)).tobytes()
+
+    def test_covering_options_with_redrawn_blocks(self):
+        # A block of four bits is all zero one time in 16 and drawn again.
+        rng = streams.philox_generator()
+        redrawn = 0
+        for seed in range(40):
+            rekeyed = streams.rekeyed(rng, streams.stream_keys([seed], 0)[0])
+            instance = generators._covering_instance(2, 1, 0.0, 0.0, seed, 4, rekeyed)
+            assert instance == sample_covering_instance(2, 1, 0.0, 0.0, seed, 4)
+            redrawn += reference_covering_draws(2, 1, seed, 4)[1] > 0
+        assert redrawn > 0

@@ -311,8 +311,8 @@ def benchmark_pool_kernels():
                 yield build_kernel(game, BEST)
             # The block-diagonal kernels that run_monte_carlo searches,
             # built as it builds them.
-            for batch in _batches(instances):
-                yield build_batch_kernel(_trial_games(batch), BEST)
+            for batch in _batches((instance, None) for instance in instances):
+                yield build_batch_kernel(_trial_games([instance for instance, _ in batch]), BEST)
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):
