@@ -3,10 +3,7 @@
 from .dynamics import (
     BEST,
     BETTER,
-    ResponseSet,
     TransitionKernel,
-    best_response_set,
-    better_response_set,
     build_batch_kernel,
     build_kernel,
     is_singleton_br,
@@ -42,16 +39,12 @@ from .generators import (
     RadioMonteCarloSpec,
     TrialResult,
     counterexample_game,
-    covering_instance_from_dict,
-    covering_instance_to_dict,
     covering_sinking_bound,
     expected_covering_misalignment,
     make_covering_game,
     make_covering_games,
     make_radio_game,
     philox_rng,
-    radio_instance_from_dict,
-    radio_instance_to_dict,
     radio_sinking_bound,
     run_monte_carlo,
     sample_covering_instance,
@@ -64,7 +57,6 @@ from .sinks import (
     price_of_sinking,
     sink_components,
     sink_equilibria,
-    stationary_distribution,
     stationary_distributions,
 )
 from .smoothness import (

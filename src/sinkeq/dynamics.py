@@ -1,4 +1,4 @@
-"""Best- and better-response sets and the Markov kernels they induce.
+"""The Markov kernels that best- and better-response sets induce.
 
 Each step of the response process picks a player uniformly at random; that
 player then moves to an action drawn uniformly from its response set.  A
@@ -18,18 +18,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParametersError
-from .game import JointAction, NormalFormGame
+from .game import NormalFormGame
 
 BEST = "best"
 BETTER = "better"
-
-
-@dataclass(frozen=True)
-class ResponseSet:
-    """A player's admissible replies at some state."""
-
-    player: int
-    actions: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +40,6 @@ class TransitionKernel:
     @property
     def num_states(self) -> int:
         return self.indptr.size - 1
-
-    def row(self, state: int) -> tuple[tuple[int, float], ...]:
-        lo, hi = self.indptr[state], self.indptr[state + 1]
-        return tuple(zip(self.indices[lo:hi].tolist(), self.probs[lo:hi].tolist()))
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         src = np.repeat(np.arange(self.num_states), np.diff(self.indptr))
@@ -73,46 +61,6 @@ def _admissible(table: np.ndarray, fiber: np.ndarray, states, mode: str, tie_tol
     if mode == BEST:
         return val >= val.max(axis=0) - tie_tol
     return val >= table[states]
-
-
-def _response_mask(
-    game: NormalFormGame, player: int, mode: str, tie_tol: float, states
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean ``mask[k, ...]``: action k is in the player's response set at
-    each of ``states``.
-
-    Also returns the player's fiber of ``states``, the targets of those
-    actions.  ``tie_tol`` must be a finite nonnegative number in either
-    mode, so NaN and infinity are refused.
-    """
-    _check_tie_tol(tie_tol)
-    fiber = game.fiber(player, states)
-    return _admissible(game.utilities[player], fiber, states, mode, tie_tol), fiber
-
-
-def best_response_set(
-    game: NormalFormGame,
-    player: int,
-    action: JointAction | int,
-    tie_tol: float = 0.0,
-) -> ResponseSet:
-    """Actions within ``tie_tol`` of the player's best payoff at the state.
-
-    With the default ``tie_tol=0`` this is the exact argmax set.
-    """
-    mask, _ = _response_mask(game, player, BEST, tie_tol, game.joint(action).flat)
-    return ResponseSet(player=player, actions=tuple(np.flatnonzero(mask).tolist()))
-
-
-def better_response_set(
-    game: NormalFormGame,
-    player: int,
-    action: JointAction | int,
-) -> ResponseSet:
-    """Actions weakly improving the player's payoff; always contains the
-    current action."""
-    mask, _ = _response_mask(game, player, BETTER, 0.0, game.joint(action).flat)
-    return ResponseSet(player=player, actions=tuple(np.flatnonzero(mask).tolist()))
 
 
 def build_kernel(
@@ -219,10 +167,11 @@ def is_singleton_br(
     Returns ``(True, None)`` or ``(False, (player, state))`` for the violation
     with the smallest state index (smallest player breaking ties).
     """
+    _check_tie_tol(tie_tol)
     states = np.arange(game.num_profiles)
     counts = [
-        _response_mask(game, player, BEST, tie_tol, states)[0].sum(axis=0)
-        for player in range(game.num_players)
+        _admissible(table, game.fiber(player, states), states, BEST, tie_tol).sum(axis=0)
+        for player, table in enumerate(game.utilities)
     ]
     stacked = np.vstack(counts) > 1
     broken_states = np.flatnonzero(stacked.any(axis=0))

@@ -28,10 +28,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import BEST, is_singleton_br
+from .dynamics import BEST
 from .errors import GameAnalysisError, InvalidParametersError, ValidationError
-from .game import NormalFormGame, enumerate_nash
-from .sinks import batch_price_of_sinking, price_of_sinking
+from .game import NormalFormGame
+from .sinks import batch_price_of_sinking
 from .streams import philox_generator, rekeyed, spawn_states, stream_keys
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
 
@@ -52,11 +52,6 @@ def _checked_profiles(total: int) -> int:
     if total > MAX_PROFILES:
         raise InvalidParametersError(f"game would have more than {MAX_PROFILES} joint actions")
     return total
-
-
-def _trial_seed(master_seed: int, trial: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial),))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +170,16 @@ class CoveringInstance:
         return len(self.values)
 
 
-def sample_covering_estimates(instance: CoveringInstance) -> np.ndarray:
-    """Per-(agent, region) value estimates, drawn from spawn child 1 of the
-    instance seed so they never overlap the option-sampling stream.
-
-    These are the estimates ``make_covering_games`` draws for the instance."""
-    return _covering_estimates([instance])[0]
-
-
 def _covering_estimates(
     instances: Sequence[CoveringInstance],
     keys: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[np.ndarray]:
-    """Each instance's estimates, drawn by ``rng`` (a new Philox if not
-    given) re-keyed to the key of the instance's estimate stream in
-    ``keys``.  The keys are derived here, in one pass, if not given."""
+    """Each instance's per-(agent, region) value estimates, drawn from
+    spawn child 1 of its seed, so they never overlap the option-sampling
+    stream.  ``rng`` (a new Philox if not given) is re-keyed to the key of
+    each instance's estimate stream in ``keys``, which are derived here, in
+    one pass, if not given."""
     if keys is None:
         keys = stream_keys([instance.seed for instance in instances], 1)
     rng = rng or philox_generator()
@@ -232,7 +221,8 @@ def make_covering_games(
 ) -> list[NormalFormGame]:
     """``make_covering_game`` of each of one or more instances with one
     agent count, built together.  ``estimates`` holds each instance's
-    ``sample_covering_estimates``, which are drawn here if not given.
+    ``(agents, regions)`` value estimates, drawn from spawn child 1 of its
+    seed here if not given.
 
     Profiles share few distinct unions, so each distinct union of a game is
     summed once and scattered back to its profiles.  Unions of k regions
@@ -366,7 +356,9 @@ def sample_covering_instance(
     one 32-bit output of the stream whatever the call, so the agents get
     the blocks that drawing one block at a time gives them.
     """
-    return _covering_instance(num_agents, num_regions, bias, scale, seed, options_per_agent)
+    return _covering_instance(
+        num_agents, num_regions, bias, scale, seed, options_per_agent, rng=philox_rng(seed, 0)
+    )
 
 
 def _covering_instance(
@@ -376,18 +368,17 @@ def _covering_instance(
     scale: float,
     seed: int,
     options_per_agent: int = 4,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> CoveringInstance:
-    """``sample_covering_instance``, drawn from ``rng`` when given: a
-    generator keyed as ``philox_rng(seed, 0)`` is."""
+    """``sample_covering_instance``, drawn from ``rng``: a generator keyed
+    as ``philox_rng(seed, 0)`` is."""
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
     if num_agents * options_per_agent * num_regions > MAX_PROFILES:
         raise InvalidParametersError(
             f"instance would draw more than {MAX_PROFILES} option bits"
         )
-    if rng is None:
-        rng = philox_rng(seed, 0)
     draws: list[list[list[int]]] = []
     while len(draws) < num_agents:
         blocks = rng.integers(0, 2, size=(num_agents - len(draws), options_per_agent, num_regions))
@@ -404,32 +395,6 @@ def _covering_instance(
         scale=float(scale),
         seed=int(seed),
     )
-
-
-def covering_instance_to_dict(instance: CoveringInstance) -> dict:
-    """Plain-JSON description of a covering instance."""
-    return {
-        "values": list(instance.values),
-        "options": [[list(subset) for subset in opts] for opts in instance.options],
-        "bias": instance.bias,
-        "scale": instance.scale,
-        "seed": instance.seed,
-    }
-
-
-def covering_instance_from_dict(obj: dict) -> CoveringInstance:
-    try:
-        return CoveringInstance(
-            values=tuple(obj["values"]),
-            options=tuple(
-                tuple(tuple(subset) for subset in opts) for opts in obj["options"]
-            ),
-            bias=float(obj["bias"]),
-            scale=float(obj["scale"]),
-            seed=int(obj["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"covering instance: {exc}") from exc
 
 
 def expected_covering_misalignment(bias: float, scale: float, num_regions: int) -> float:
@@ -523,7 +488,7 @@ def sample_radio_instance(
     Sampling factors log-uniformly on [alpha, 1/alpha] keeps ratios symmetric
     around 1; with alpha = 1 every estimate equals the true weight exactly.
     """
-    return _radio_instance(num_agents, alpha, seed, weights)
+    return _radio_instance(num_agents, alpha, seed, weights, rng=philox_rng(seed, 0))
 
 
 def _radio_instance(
@@ -531,10 +496,11 @@ def _radio_instance(
     alpha: float,
     seed: int,
     weights: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> RadioInstance:
-    """``sample_radio_instance``, drawn from ``rng`` when given: a generator
-    keyed as ``philox_rng(seed, 0)`` is."""
+    """``sample_radio_instance``, drawn from ``rng``: a generator keyed as
+    ``philox_rng(seed, 0)`` is."""
     if num_agents < 2:
         raise InvalidParametersError("need at least two agents")
     if not 0.0 < alpha <= 1.0:
@@ -542,8 +508,6 @@ def _radio_instance(
     # The estimates alone take num_agents**3 floats: refuse before drawing
     # them, and before a huge count makes the shift itself overflow.
     _checked_profiles(1 << min(num_agents, MAX_PROFILES.bit_length()))
-    if rng is None:
-        rng = philox_rng(seed, 0)
     n = num_agents
     if weights is None:
         weights = np.zeros((n, n))
@@ -593,28 +557,6 @@ def make_radio_game(instance: RadioInstance) -> NormalFormGame:
     )
 
 
-def radio_instance_to_dict(instance: RadioInstance) -> dict:
-    """Plain-JSON description of an interference instance."""
-    return {
-        "weights": instance.weights.tolist(),
-        "alpha": instance.alpha,
-        "estimates": instance.estimates.tolist(),
-        "seed": instance.seed,
-    }
-
-
-def radio_instance_from_dict(obj: dict) -> RadioInstance:
-    try:
-        return RadioInstance(
-            weights=np.asarray(obj["weights"], dtype=float),
-            alpha=float(obj["alpha"]),
-            estimates=np.asarray(obj["estimates"], dtype=float),
-            seed=None if obj.get("seed") is None else int(obj["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"radio instance: {exc}") from exc
-
-
 def radio_sinking_bound(num_agents: int, alpha: float) -> float:
     """Per-instance price-of-sinking floor for two-channel interference games
     with estimate ratio margin alpha: the welfare is (1, 3)-smooth under
@@ -630,22 +572,6 @@ def radio_sinking_bound(num_agents: int, alpha: float) -> float:
 # Random games for property checks
 # ---------------------------------------------------------------------------
 
-def sample_action_counts(
-    rng: np.random.Generator,
-    max_players: int = 3,
-    max_actions: int = 4,
-    max_profiles: int | None = None,
-) -> tuple[int, ...]:
-    while True:
-        n = int(rng.integers(1, max_players + 1))
-        counts = tuple(int(rng.integers(2, max_actions + 1)) for _ in range(n))
-        total = 1
-        for c in counts:
-            total *= c
-        if max_profiles is None or total <= max_profiles:
-            return counts
-
-
 def sample_random_game(
     rng: np.random.Generator,
     action_counts: tuple[int, ...],
@@ -657,56 +583,6 @@ def sample_random_game(
     utilities = rng.uniform(*utility_range, size=(len(action_counts), total))
     return NormalFormGame(
         action_counts=action_counts, welfare=welfare, utilities=utilities
-    )
-
-
-def sample_game_with_pure_nash(
-    rng: np.random.Generator,
-    max_players: int = 3,
-    max_actions: int = 4,
-) -> NormalFormGame:
-    """Rejection-sample until the game has at least one pure equilibrium."""
-    while True:
-        counts = sample_action_counts(rng, max_players, max_actions)
-        game = sample_random_game(rng, counts)
-        if enumerate_nash(game):
-            return game
-
-
-def sample_near_common_game(
-    rng: np.random.Generator,
-    action_counts: tuple[int, ...],
-    deviation: float,
-    noise: str = "additive",
-    max_attempts: int = 500,
-) -> NormalFormGame:
-    """Common-interest base W ~ U(0.1, 1) with bounded per-entry noise.
-
-    ``additive`` draws utilities in ``W * (1 ± deviation)``; ``multiplicative``
-    draws ratio factors log-uniformly in ``[1 - deviation, 1/(1 - deviation)]``.
-    Resamples until best responses are singletons everywhere.
-    """
-    if noise not in ("additive", "multiplicative"):
-        raise InvalidParametersError("noise must be 'additive' or 'multiplicative'")
-    n = len(action_counts)
-    total = _checked_profiles(math.prod(action_counts))
-    for _ in range(max_attempts):
-        welfare = rng.uniform(0.1, 1.0, size=total)
-        if noise == "additive":
-            wiggle = rng.uniform(-deviation, deviation, size=(n, total))
-            utilities = welfare[None, :] * (1.0 + wiggle)
-        else:
-            span = -math.log(1.0 - deviation) if deviation > 0 else 0.0
-            factors = np.exp(rng.uniform(-span, span, size=(n, total)))
-            utilities = welfare[None, :] * factors
-        game = NormalFormGame(
-            action_counts=action_counts, welfare=welfare, utilities=utilities
-        )
-        singleton, _ = is_singleton_br(game)
-        if singleton:
-            return game
-    raise InvalidParametersError(
-        f"could not reach singleton best responses in {max_attempts} attempts"
     )
 
 
@@ -770,10 +646,10 @@ def _spec_bound(spec: CoveringMonteCarloSpec | RadioMonteCarloSpec) -> float:
 def _trial_instance(
     spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
     seed: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> CoveringInstance | RadioInstance:
-    """The instance of the trial with ``seed``, drawn from ``rng`` when
-    given: a generator keyed as ``philox_rng(seed, 0)`` is."""
+    """The instance of the trial with ``seed``, drawn from ``rng``: a
+    generator keyed as ``philox_rng(seed, 0)`` is."""
     if isinstance(spec, CoveringMonteCarloSpec):
         return _covering_instance(
             spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed, rng=rng
@@ -783,8 +659,8 @@ def _trial_instance(
 
 def _trial_games(
     instances: Sequence[CoveringInstance] | Sequence[RadioInstance],
-    estimate_keys: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    estimate_keys: np.ndarray,
+    rng: np.random.Generator,
 ) -> list[NormalFormGame]:
     """The games of trial instances of one family; covering estimates are
     drawn as ``_covering_estimates(instances, estimate_keys, rng)``."""
@@ -793,12 +669,6 @@ def _trial_games(
             instances, _covering_estimates(instances, estimate_keys, rng)
         )
     return [make_radio_game(instance) for instance in instances]
-
-
-def _trial_game(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, seed: int
-) -> NormalFormGame:
-    return _trial_games([_trial_instance(spec, seed)])[0]
 
 
 def _num_profiles(instance: CoveringInstance | RadioInstance) -> int:
@@ -816,38 +686,26 @@ def _num_profiles(instance: CoveringInstance | RadioInstance) -> int:
 _BATCH_STATES = 1 << 11
 
 
-def _trial_pos(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, master_seed: int, trial: int
-) -> float:
-    """One trial analyzed on its own, with its seed in any error."""
-    try:
-        game = _trial_game(spec, _trial_seed(master_seed, trial))
-        pos, _ = price_of_sinking(game, mode=BEST)
-    except GameAnalysisError as exc:
-        raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
-    return pos
-
-
 # Trials whose seeds and stream keys one ``spawn_states`` pass derives.
 _KEY_CHUNK = 1 << 10
 
 
 def _trial_draws(
     spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
-    trials: int,
+    trials: range,
     master_seed: int,
     rng: np.random.Generator,
 ) -> Iterator[tuple[CoveringInstance | RadioInstance, np.ndarray]]:
-    """Each trial's instance and the Philox keys of its other streams: the
-    estimates (spawn child 1 of the trial seed) of a covering trial, none
-    of an interference trial.
+    """The instance of each of ``trials`` and the Philox keys of its other
+    streams: the estimates (spawn child 1 of the trial seed) of a covering
+    trial, none of an interference trial.
 
     The trial seeds, and then the keys of each trial's streams, come from
     one ``spawn_states`` pass per ``_KEY_CHUNK`` trials, and ``rng``,
     re-keyed, draws every instance."""
     streams = np.arange(1 + isinstance(spec, CoveringMonteCarloSpec), dtype=np.uint64)
-    for lo in range(0, trials, _KEY_CHUNK):
-        chunk = np.arange(lo, min(lo + _KEY_CHUNK, trials), dtype=np.uint64)
+    for lo in range(trials.start, trials.stop, _KEY_CHUNK):
+        chunk = np.arange(lo, min(lo + _KEY_CHUNK, trials.stop), dtype=np.uint64)
         seeds = spawn_states(master_seed, chunk, 2).view("<u8")[:, 0]
         keys = spawn_states(
             np.repeat(seeds, len(streams)), np.tile(streams, len(seeds)), 4
@@ -880,19 +738,32 @@ def _trial_prices(
     """Every trial's price of sinking, from batches of consecutive trials.
 
     After an error, drawing an instance or building or analyzing a batch,
-    the trials not yet priced run again one at a time, so the first failing
-    trial reports, as when every trial runs on its own.
+    the trials not yet priced run again as batches of one, so the error
+    names the first failing trial, as when every trial runs on its own.
     """
     prices: list[float] = []
     rng = philox_generator()
     try:
-        for batch in _batches(_trial_draws(spec, trials, master_seed, rng)):
-            instances, keys = zip(*batch)
-            games = _trial_games(instances, np.vstack(keys), rng)
-            prices += [pos for pos, _ in batch_price_of_sinking(games, mode=BEST)]
+        for batch in _batches(_trial_draws(spec, range(trials), master_seed, rng)):
+            prices += _batch_prices(batch, rng)
     except GameAnalysisError:
-        prices += [_trial_pos(spec, master_seed, t) for t in range(len(prices), trials)]
+        for trial in range(len(prices), trials):
+            try:
+                draws = _trial_draws(spec, range(trial, trial + 1), master_seed, rng)
+                prices += _batch_prices(list(draws), rng)
+            except GameAnalysisError as exc:
+                raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
     return prices
+
+
+def _batch_prices(
+    batch: list[tuple[CoveringInstance | RadioInstance, np.ndarray]], rng: np.random.Generator
+) -> list[float]:
+    """The price of sinking of each trial of a batch of draws, from one
+    game build and one ``batch_price_of_sinking``."""
+    instances, keys = zip(*batch)
+    games = _trial_games(instances, np.vstack(keys), rng)
+    return [pos for pos, _ in batch_price_of_sinking(games, mode=BEST)]
 
 
 def run_monte_carlo(
@@ -905,8 +776,8 @@ def run_monte_carlo(
     Deterministic for a fixed ``master_seed``: trial t draws from the Philox
     stream keyed by ``SeedSequence(master_seed, spawn_key=(t,))`` regardless
     of execution order.  Trials are analyzed in batches, with the results
-    of analyzing each alone.  A failing trial aborts the run with its seed
-    in the error message.
+    of analyzing each alone.  The first failing trial aborts the run, and
+    the error names it and the master seed: ``trial t (master_seed=s): ...``.
     """
     if trials < 1:
         raise InvalidParametersError("need at least one trial")

@@ -426,14 +426,6 @@ def stationary_distributions(
     return [pi[a:b] for a, b in spans]
 
 
-def stationary_distribution(
-    kernel: TransitionKernel, support: Sequence[int]
-) -> np.ndarray:
-    """Unique stationary vector of the chain restricted to a sink component:
-    ``stationary_distributions`` on that one support."""
-    return stationary_distributions(kernel, [support])[0]
-
-
 def batch_sink_equilibria(
     games: Sequence[NormalFormGame], mode: str = BEST, tie_tol: float = 0.0
 ) -> list[list[SinkEquilibrium]]:

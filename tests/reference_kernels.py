@@ -1,10 +1,33 @@
 """Per-game kernel construction and block-diagonal stacking, kept as
 references for the batch kernel builder and for tests that stack kernels
-of any shape."""
+of any shape, with a per-state response-set oracle and a kernel row
+reader."""
 
 import numpy as np
 
 from sinkeq.dynamics import BEST, TransitionKernel
+
+
+def row(kernel, state):
+    """Row ``state`` of the kernel as ``(target, probability)`` pairs, in
+    increasing target order."""
+    lo, hi = kernel.indptr[state], kernel.indptr[state + 1]
+    return tuple(zip(kernel.indices[lo:hi].tolist(), kernel.probs[lo:hi].tolist()))
+
+
+def response_set(game, player, state, mode=BEST, tie_tol=0.0):
+    """The player's response set at flat ``state``: its actions within
+    ``tie_tol`` of its best payoff there, or (better mode) those paying at
+    least its current payoff, read from its utility table one action at a
+    time."""
+    coords = game.index_to_joint(state).coords
+    table = game.utilities[player]
+    values = [
+        table[game.joint_to_index(coords[:player] + (k,) + coords[player + 1:])]
+        for k in range(game.action_counts[player])
+    ]
+    floor = max(values) - tie_tol if mode == BEST else table[state]
+    return tuple(k for k, v in enumerate(values) if v >= floor)
 
 
 def per_game_kernel(game, mode=BEST, tie_tol=0.0):

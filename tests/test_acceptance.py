@@ -9,12 +9,11 @@ import time
 
 import numpy as np
 
-from sinkeq.dynamics import BEST, BETTER, best_response_set, build_kernel, is_singleton_br
+from sinkeq.dynamics import BEST, BETTER, build_kernel, is_singleton_br
 from sinkeq.game import enumerate_nash, price_of_anarchy
 from sinkeq.generators import (
     CoveringMonteCarloSpec,
     RadioMonteCarloSpec,
-    _trial_seed,
     counterexample_game,
     covering_sinking_bound,
     expected_covering_misalignment,
@@ -22,10 +21,7 @@ from sinkeq.generators import (
     make_radio_game,
     philox_rng,
     run_monte_carlo,
-    sample_action_counts,
     sample_covering_instance,
-    sample_game_with_pure_nash,
-    sample_near_common_game,
     sample_radio_instance,
     sample_random_game,
 )
@@ -33,7 +29,7 @@ from sinkeq.sinks import (
     price_of_sinking,
     sink_components,
     sink_equilibria,
-    stationary_distribution,
+    stationary_distributions,
 )
 from sinkeq.smoothness import (
     additive_sinking_bound,
@@ -41,6 +37,14 @@ from sinkeq.smoothness import (
     better_response_witness,
     check_smoothness,
     multiplicative_sinking_bound,
+)
+
+from reference_kernels import response_set, row
+from samplers import (
+    sample_action_counts,
+    sample_game_with_pure_nash,
+    sample_near_common_game,
+    trial_seed,
 )
 
 TOL = 1e-9
@@ -106,7 +110,7 @@ def test_stationary_deviation_identity():
                     ja = game.index_to_joint(state)
                     inner = 0.0
                     for i in range(game.num_players):
-                        (br,) = best_response_set(game, i, ja).actions
+                        (br,) = response_set(game, i, state)
                         target = state + (br - ja.coords[i]) * game.strides[i]
                         inner += func[state] - func[target]
                     terms.append(p * inner)
@@ -196,7 +200,7 @@ def test_radio_per_instance_floor():
                 if summary.min_pos < 1.0 / 3.0 - TOL:
                     below_third += 1
                 for trial in range(500):
-                    seed = _trial_seed(2024, trial)
+                    seed = trial_seed(2024, trial)
                     game = make_radio_game(
                         sample_radio_instance(players, 1.0, seed)
                     )
@@ -281,14 +285,14 @@ def test_numerical_hygiene():
     for game in games:
         for mode in (BEST, BETTER):
             kernel = build_kernel(game, mode)
-            for row in map(kernel.row, range(kernel.num_states)):
-                worst_row = max(worst_row, abs(sum(p for _, p in row) - 1.0))
+            for s in range(kernel.num_states):
+                worst_row = max(worst_row, abs(sum(p for _, p in row(kernel, s)) - 1.0))
             for support in sink_components(kernel):
-                pi = stationary_distribution(kernel, support)
+                pi = stationary_distributions(kernel, [support])[0]
                 pos = {s: i for i, s in enumerate(support)}
                 flow = np.zeros(len(support))
                 for s in support:
-                    for t, p in kernel.row(s):
+                    for t, p in row(kernel, s):
                         flow[pos[t]] += pi[pos[s]] * p
                 worst_residual = max(worst_residual, float(np.max(np.abs(flow - pi))))
 

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from sinkeq.dynamics import (
     BEST,
     BETTER,
-    best_response_set,
-    better_response_set,
     build_batch_kernel,
     build_kernel,
     is_singleton_br,
@@ -18,7 +16,7 @@ from sinkeq.errors import InvalidParametersError
 from sinkeq.game import NormalFormGame, is_nash
 from sinkeq.generators import counterexample_game, philox_rng, sample_random_game
 
-from reference_kernels import per_game_kernel, stack_kernels
+from reference_kernels import per_game_kernel, response_set, row, stack_kernels
 
 
 def single_player(utility):
@@ -27,47 +25,55 @@ def single_player(utility):
 
 
 def row_dict(kernel, state):
-    return dict(kernel.row(state))
+    return dict(row(kernel, state))
 
 
 class TestBestResponseSet:
+    """Best-response sets, read from kernel rows: a one-player game moves
+    to each action of the set with equal probability."""
+
     def test_unique_maximum(self):
-        g = single_player([0.0, 1.0])
-        assert best_response_set(g, 0, (0,)).actions == (1,)
+        k = build_kernel(single_player([0.0, 1.0]), BEST)
+        assert row_dict(k, 0) == {1: 1.0}
 
     def test_constant_utility_gives_full_set(self):
         g = NormalFormGame((3,), np.zeros(3), np.zeros((1, 3)))
-        assert best_response_set(g, 0, (0,)).actions == (0, 1, 2)
+        assert row_dict(build_kernel(g, BEST), 0) == {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
 
     def test_gap_game_row_player_at_cross_state(self):
-        # Row utilities over (e1, e2, e3) against f2 are (0, 1, -2).
+        # Row utilities over (e1, e2, e3) against f2 are (0, 1, -2), so the
+        # row player moves to e2; f2 is the column player's best reply to e1.
         g = counterexample_game(1.0, 2.0)
-        rs = best_response_set(g, 0, g.joint_to_index((0, 1)))
-        assert rs.actions == (1,)
+        cross = g.joint_to_index((0, 1))
+        assert response_set(g, 0, cross) == (1,)
+        k = build_kernel(g, BEST)
+        assert row_dict(k, cross) == {g.joint_to_index((1, 1)): 0.5, cross: 0.5}
 
     def test_tie_tol_widens_the_set(self):
         g = single_player([0.0, 0.5, 1.0])
-        assert best_response_set(g, 0, (0,), tie_tol=0.0).actions == (2,)
-        assert best_response_set(g, 0, (0,), tie_tol=0.5).actions == (1, 2)
+        assert row_dict(build_kernel(g, BEST, tie_tol=0.0), 0) == {2: 1.0}
+        assert row_dict(build_kernel(g, BEST, tie_tol=0.5), 0) == {1: 0.5, 2: 0.5}
         with pytest.raises(InvalidParametersError):
-            best_response_set(g, 0, (0,), tie_tol=-1e-9)
+            build_kernel(g, BEST, tie_tol=-1e-9)
 
 
 class TestBetterResponseSet:
+    """Better-response sets, read from kernel rows."""
+
     def test_always_contains_current_action(self):
         rng = philox_rng(21, 0)
         for _ in range(20):
             counts = tuple(int(rng.integers(2, 4)) for _ in range(2))
-            g = sample_random_game(rng, counts)
-            for flat in range(g.num_profiles):
-                ja = g.index_to_joint(flat)
-                for i in range(g.num_players):
-                    assert ja.coords[i] in better_response_set(g, i, flat).actions
+            k = build_kernel(sample_random_game(rng, counts), BETTER)
+            for flat in range(k.num_states):
+                assert flat in row_dict(k, flat)
 
     def test_single_player_examples(self):
-        g = single_player([0.0, 1.0])
-        assert better_response_set(g, 0, (0,)).actions == (0, 1)
-        assert better_response_set(g, 0, (1,)).actions == (1,)
+        # Ties with the current payoff count as better responses.
+        k = build_kernel(single_player([1.0, 0.0, 1.0, 2.0]), BETTER)
+        assert row_dict(k, 0) == {0: 1 / 3, 2: 1 / 3, 3: 1 / 3}
+        assert row_dict(k, 1) == {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
+        assert row_dict(k, 3) == {3: 1.0}
 
 
 class TestKernel:
@@ -103,9 +109,9 @@ class TestKernel:
             g = sample_random_game(rng, counts)
             for mode in (BEST, BETTER):
                 k = build_kernel(g, mode)
-                for row in map(k.row, range(k.num_states)):
-                    assert abs(sum(p for _, p in row) - 1.0) <= 1e-12
-                    assert all(p > 0 for _, p in row)
+                for entries in (row(k, s) for s in range(k.num_states)):
+                    assert abs(sum(p for _, p in entries) - 1.0) <= 1e-12
+                    assert all(p > 0 for _, p in entries)
 
     def test_transitions_change_at_most_one_coordinate(self):
         rng = philox_rng(23, 0)
@@ -140,7 +146,7 @@ class TestKernel:
             for flat in range(g.num_profiles):
                 floor = 0.0
                 for i in range(g.num_players):
-                    floor += 1.0 / len(better_response_set(g, i, flat).actions)
+                    floor += 1.0 / len(response_set(g, i, flat, BETTER))
                 floor /= g.num_players
                 assert row_dict(k, flat).get(flat, 0.0) >= floor - 1e-12
                 assert row_dict(k, flat).get(flat, 0.0) > 0.0

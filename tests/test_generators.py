@@ -27,7 +27,6 @@ from sinkeq.generators import (
     RadioMonteCarloSpec,
     TrialResult,
     _checked_profiles,
-    _trial_seed,
     counterexample_game,
     covering_sinking_bound,
     expected_covering_misalignment,
@@ -37,14 +36,14 @@ from sinkeq.generators import (
     philox_rng,
     radio_sinking_bound,
     run_monte_carlo,
-    sample_covering_estimates,
     sample_covering_instance,
-    sample_near_common_game,
     sample_radio_instance,
     sample_random_game,
 )
 from sinkeq.sinks import price_of_sinking
 from sinkeq.smoothness import measure_misalignment
+
+from samplers import sample_near_common_game, trial_seed
 
 FOLDED_MEAN_3_REGIONS = 0.034998928235261174  # bias = scale = 0.01, three regions
 
@@ -140,45 +139,12 @@ class TestCoveringGames:
                 values=(1.0,), options=(((3,),),), bias=0, scale=0, seed=0
             )
 
-    def test_instance_json_round_trip(self):
-        from sinkeq.generators import (
-            covering_instance_from_dict,
-            covering_instance_to_dict,
-        )
-
-        inst = sample_covering_instance(2, 3, 0.01, 0.02, seed=123)
-        clone = covering_instance_from_dict(covering_instance_to_dict(inst))
-        assert clone == inst
-        np.testing.assert_array_equal(
-            make_covering_game(clone).utilities, make_covering_game(inst).utilities
-        )
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d.update(seed="abc"),
-            lambda d: d.update(bias="x"),
-            lambda d: d.update(scale="x"),
-            lambda d: d["options"][0].append(["a"]),
-            lambda d: d.pop("values"),
-            lambda d: d.update(options=5),
-        ],
-        ids=["seed", "bias", "scale", "region", "missing", "options"],
-    )
-    def test_malformed_instance_dicts_are_refused(self, edit):
-        from sinkeq.generators import covering_instance_from_dict, covering_instance_to_dict
-
-        obj = covering_instance_to_dict(sample_covering_instance(2, 3, 0.01, 0.02, seed=123))
-        edit(obj)
-        with pytest.raises(ValidationError, match=r"^covering instance: "):
-            covering_instance_from_dict(obj)
-
 
 def reference_covering_tables(instance):
     """Per-profile loop: OR the chosen options' region masks, then sum the
     true values and each agent's estimates over that union."""
     n, m = instance.num_agents, instance.num_regions
-    estimates = sample_covering_estimates(instance)
+    estimates = reference_covering_estimates(instance)
     values = np.asarray(instance.values)
     option_masks = []
     for opts in instance.options:
@@ -273,13 +239,13 @@ class TestCoveringReference:
     @pytest.mark.parametrize("master_seed", range(1, 11))
     def test_benchmark_shaped_tables(self, master_seed):
         for trial in range(50):
-            seed = _trial_seed(master_seed, trial)
+            seed = trial_seed(master_seed, trial)
             assert_matches_reference(sample_covering_instance(4, 8, 0.01, 0.01, seed))
 
     def test_benchmark_shaped_options(self):
         for master_seed in range(1, 11):
             for trial in range(50):
-                seed = _trial_seed(master_seed, trial)
+                seed = trial_seed(master_seed, trial)
                 instance = sample_covering_instance(4, 8, 0.01, 0.01, seed)
                 assert instance.options == reference_covering_options(4, 8, seed)
 
@@ -331,20 +297,20 @@ class TestCoveringReference:
 
     def test_estimates_match_the_broadcast_normal_draw(self):
         instances = [
-            sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(1, trial)) for trial in range(20)
+            sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(1, trial)) for trial in range(20)
         ]
         instances += [
             CoveringInstance((0.0, 0.5, 3.0, 1e-300, 7e5), (((0,),),) * 3, bias, scale, seed)
             for bias, scale, seed in [(0.0, 0.0, 1), (-0.3, 2.0, 2), (1e-9, 1e9, 3), (5.0, 0.0, 4)]
         ]
         for instance in instances:
-            drawn = sample_covering_estimates(instance)
+            drawn = generators._covering_estimates([instance])[0]
             assert drawn.tobytes() == reference_covering_estimates(instance).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(covering_instances())
     def test_random_estimates_match_the_broadcast_normal_draw(self, instance):
-        drawn = sample_covering_estimates(instance)
+        drawn = generators._covering_estimates([instance])[0]
         assert drawn.tobytes() == reference_covering_estimates(instance).tobytes()
 
 
@@ -412,7 +378,7 @@ class TestBatchCoveringGames:
     def test_benchmark_shaped_batches(self):
         for master_seed in (1, 1009):
             instances = [
-                sample_covering_instance(4, 8, 0.01, 0.01, _trial_seed(master_seed, trial))
+                sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(master_seed, trial))
                 for trial in range(50)
             ]
             assert_batch_matches_alone(instances)
@@ -556,37 +522,6 @@ class TestRadioGames:
         with pytest.raises(ValidationError):
             RadioInstance(weights=weights, alpha=0.9, estimates=estimates)
 
-    def test_instance_json_round_trip(self):
-        from sinkeq.generators import radio_instance_from_dict, radio_instance_to_dict
-
-        inst = sample_radio_instance(3, 0.9, seed=4)
-        clone = radio_instance_from_dict(radio_instance_to_dict(inst))
-        np.testing.assert_array_equal(clone.weights, inst.weights)
-        np.testing.assert_array_equal(clone.estimates, inst.estimates)
-        np.testing.assert_array_equal(
-            make_radio_game(clone).welfare, make_radio_game(inst).welfare
-        )
-        assert clone.seed == inst.seed
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d.update(seed="zz"),
-            lambda d: d.update(alpha="x"),
-            lambda d: d["weights"][0].__setitem__(1, "a"),
-            lambda d: d["estimates"][1][0].__setitem__(2, "a"),
-            lambda d: d.pop("weights"),
-        ],
-        ids=["seed", "alpha", "weight", "estimate", "missing"],
-    )
-    def test_malformed_instance_dicts_are_refused(self, edit):
-        from sinkeq.generators import radio_instance_from_dict, radio_instance_to_dict
-
-        obj = radio_instance_to_dict(sample_radio_instance(3, 0.9, seed=4))
-        edit(obj)
-        with pytest.raises(ValidationError, match=r"^radio instance: "):
-            radio_instance_from_dict(obj)
-
 
 def one_shot_radio_tables(instance):
     """Welfare and utilities from one ``(2^n, n, n)`` pair table."""
@@ -671,10 +606,10 @@ class TestMonteCarlo:
         # Sinking prices can coincide across seeds (often exactly 1), so
         # compare the sampled games themselves.
         a = make_covering_game(
-            sample_covering_instance(2, 3, 0.01, 0.01, _trial_seed(1, 0))
+            sample_covering_instance(2, 3, 0.01, 0.01, trial_seed(1, 0))
         )
         b = make_covering_game(
-            sample_covering_instance(2, 3, 0.01, 0.01, _trial_seed(2, 0))
+            sample_covering_instance(2, 3, 0.01, 0.01, trial_seed(2, 0))
         )
         assert not np.array_equal(a.utilities, b.utilities)
 
@@ -698,12 +633,20 @@ class TestMonteCarlo:
 
 
 def per_trial_monte_carlo(spec, trials, master_seed):
-    """``run_monte_carlo`` as a loop that analyzes each trial on its own."""
+    """``run_monte_carlo`` as a loop that draws each trial with the public
+    samplers and analyzes it on its own."""
     bound = generators._spec_bound(spec)
     results = []
     for trial in range(trials):
+        seed = trial_seed(master_seed, trial)
         try:
-            game = generators._trial_game(spec, _trial_seed(master_seed, trial))
+            if isinstance(spec, CoveringMonteCarloSpec):
+                instance = sample_covering_instance(
+                    spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed
+                )
+                game = make_covering_game(instance)
+            else:
+                game = make_radio_game(sample_radio_instance(spec.num_agents, spec.alpha, seed))
             pos, _ = price_of_sinking(game, mode=BEST)
         except GameAnalysisError as exc:
             raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
@@ -759,18 +702,17 @@ class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("where", ["draw", "analysis", "build"])
     def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
         # Trials hold at most 256 states, so trials 9 and 10 sit inside
-        # the second or third batch of 2,048 states.  The batched run draws
-        # instances one by one, from a generator it passes in, and draws the
-        # estimates of a batch's games together, so the failures go into the
-        # instance draw and the estimate draw.
+        # the second or third batch of 2,048 states.  Both runs draw every
+        # instance through ``_covering_instance`` and every estimate through
+        # ``_covering_estimates``, so the failures go there.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
-        bad_seed = _trial_seed(7, failing)
-        draw = generators._trial_instance
+        bad_seed = trial_seed(7, failing)
+        draw = generators._covering_instance
         estimate = generators._covering_estimates
 
-        def patched_draw(spec, seed, *rng):
-            instance = draw(spec, seed, *rng)
-            if seed != bad_seed:
+        def patched_draw(*args, **kwargs):
+            instance = draw(*args, **kwargs)
+            if instance.seed != bad_seed:
                 return instance
             if where == "draw":
                 raise ValidationError("patched failure")
@@ -785,7 +727,7 @@ class TestBatchedMonteCarlo:
         if where == "build":
             monkeypatch.setattr(generators, "_covering_estimates", patched_estimate)
         else:
-            monkeypatch.setattr(generators, "_trial_instance", patched_draw)
+            monkeypatch.setattr(generators, "_covering_instance", patched_draw)
         with pytest.raises(GameAnalysisError) as loop:
             per_trial_monte_carlo(spec, 20, 7)
         with pytest.raises(GameAnalysisError) as batched:
@@ -795,6 +737,35 @@ class TestBatchedMonteCarlo:
         assert str(loop.value).startswith(f"trial {failing} (master_seed=7): ")
         if where == "analysis":
             assert type(loop.value) is DegenerateWelfareError
+
+    @pytest.mark.parametrize("degenerate, refused", [(9, 10), (10, 9), (3, 4), (9, 17)])
+    def test_the_earlier_of_two_failing_trials_reports(self, monkeypatch, degenerate, refused):
+        # One trial has no welfare to sink and another's draw is refused.  A
+        # batch is drawn whole before it is analyzed, so in (9, 10) trial
+        # 10's draw fails first, yet trial 9 is the one to report.
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+        trials = {trial_seed(7, t): t for t in (degenerate, refused)}
+        draw = generators._covering_instance
+
+        def patched_draw(*args, **kwargs):
+            instance = draw(*args, **kwargs)
+            trial = trials.get(instance.seed)
+            if trial == refused:
+                raise ValidationError("patched failure")
+            if trial == degenerate:
+                return dataclasses.replace(instance, values=(0.0,) * instance.num_regions)
+            return instance
+
+        monkeypatch.setattr(generators, "_covering_instance", patched_draw)
+        with pytest.raises(GameAnalysisError) as loop:
+            per_trial_monte_carlo(spec, 20, 7)
+        with pytest.raises(GameAnalysisError) as batched:
+            run_monte_carlo(spec, 20, 7)
+        first = min(degenerate, refused)
+        assert str(batched.value) == str(loop.value)
+        assert str(batched.value).startswith(f"trial {first} (master_seed=7): ")
+        expected = DegenerateWelfareError if first == degenerate else ValidationError
+        assert type(batched.value) is expected
 
     @pytest.mark.parametrize(
         "spec, trials",
@@ -820,13 +791,13 @@ class TestBatchedMonteCarlo:
 
 class TestSeedPlumbing:
     def test_trial_streams_are_stable(self):
-        a = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
-        b = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
+        a = philox_rng(trial_seed(7, 3), 0).uniform(size=4)
+        b = philox_rng(trial_seed(7, 3), 0).uniform(size=4)
         np.testing.assert_array_equal(a, b)
 
     def test_trial_streams_are_distinct(self):
-        a = philox_rng(_trial_seed(7, 3), 0).uniform(size=4)
-        b = philox_rng(_trial_seed(7, 4), 0).uniform(size=4)
+        a = philox_rng(trial_seed(7, 3), 0).uniform(size=4)
+        b = philox_rng(trial_seed(7, 4), 0).uniform(size=4)
         assert not np.array_equal(a, b)
 
 
@@ -866,7 +837,7 @@ class TestSpawnStates:
     @pytest.mark.parametrize("master_seed", [5, 6, 7, 8, 9, 5045, 2**160])
     def test_trial_seeds_of_a_run(self, master_seed):
         seeds = streams.spawn_states(master_seed, np.arange(50, dtype=np.uint64), 2)
-        expected = [_trial_seed(master_seed, t) for t in range(50)]
+        expected = [trial_seed(master_seed, t) for t in range(50)]
         assert seeds.view("<u8")[:, 0].tolist() == expected
 
     @settings(max_examples=60, deadline=None)
@@ -928,7 +899,7 @@ class TestRekeyedDraws:
         redrawn = 0
         for seed in range(40):
             rekeyed = streams.rekeyed(rng, streams.stream_keys([seed], 0)[0])
-            instance = generators._covering_instance(2, 1, 0.0, 0.0, seed, 4, rekeyed)
+            instance = generators._covering_instance(2, 1, 0.0, 0.0, seed, 4, rng=rekeyed)
             assert instance == sample_covering_instance(2, 1, 0.0, 0.0, seed, 4)
             redrawn += reference_covering_draws(2, 1, seed, 4)[1] > 0
         assert redrawn > 0

@@ -106,6 +106,14 @@ def invocations(names) -> list[list[str]]:
         out.append(["covering-mc", "--n", "3", "--regions", regions,
                     "--bias", "-0.5", "--scale", "1",
                     "--trials", "20", "--seed", "2", "--format", "csv"])
+    # Monte Carlo runs whose first trial fails: an instance refused for its
+    # scale, a game refused for its overflowing estimates, and an instance
+    # refused for its size.  The error names the trial and its master seed.
+    out.append(["covering-mc", "--n", "2", "--regions", "3", "--trials", "2",
+                "--scale", "inf"])
+    out.append(["covering-mc", "--n", "2", "--regions", "3", "--trials", "2",
+                "--bias", "1e308", "--scale", "1e308"])
+    out.append(["radio-mc", "--n", "21", "--alpha", "0.5", "--trials", "1"])
     return out
 
 

@@ -12,29 +12,24 @@ from sinkeq.dynamics import (
     BEST,
     BETTER,
     TransitionKernel,
-    best_response_set,
-    better_response_set,
     build_batch_kernel,
     build_kernel,
 )
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
-    CoveringMonteCarloSpec,
     _batches,
-    _trial_games,
-    _trial_instance,
-    _trial_seed,
     make_covering_game,
+    make_covering_games,
     make_radio_game,
     philox_rng,
-    sample_action_counts,
     sample_covering_instance,
     sample_radio_instance,
     sample_random_game,
 )
 from sinkeq.sinks import _tarjan, sink_components
 
-from reference_kernels import stack_kernels
+from reference_kernels import row, stack_kernels
+from samplers import sample_action_counts, trial_seed
 
 
 def reference_sets(game, mode, tie_tol):
@@ -71,18 +66,6 @@ def reference_rows(sets):
     return rows
 
 
-def library_sets(game, mode, tie_tol):
-    return [
-        [
-            best_response_set(game, player, a, tie_tol).actions
-            if mode == BEST
-            else better_response_set(game, player, a).actions
-            for player in range(game.num_players)
-        ]
-        for a in range(game.num_profiles)
-    ]
-
-
 def corpus():
     rng = philox_rng(61, 0)
     games = [sample_random_game(rng, sample_action_counts(rng)) for _ in range(8)]
@@ -103,10 +86,8 @@ def test_kernel_equals_reference_exactly(mode, tie_tol):
     for game in GAMES:
         sets = reference_sets(game, mode, tie_tol)
         kernel = build_kernel(game, mode, tie_tol)
-        rows = [kernel.row(s) for s in range(kernel.num_states)]
+        rows = [row(kernel, s) for s in range(kernel.num_states)]
         assert rows == reference_rows(sets)
-        expected = [[acts for acts, _ in per_player] for per_player in sets]
-        assert library_sets(game, mode, tie_tol) == expected
 
 
 def networkx_graph(kernel):
@@ -276,10 +257,10 @@ def test_stacked_kernels_keep_each_block(kernels):
     expected_rows, expected_sinks = [], []
     for kernel, offset in zip(kernels, offsets):
         expected_rows += [
-            tuple((t + offset, p) for t, p in kernel.row(s)) for s in range(kernel.num_states)
+            tuple((t + offset, p) for t, p in row(kernel, s)) for s in range(kernel.num_states)
         ]
         expected_sinks += [tuple(s + offset for s in sink) for sink in networkx_sinks(kernel)]
-    assert [stacked.row(s) for s in range(stacked.num_states)] == expected_rows
+    assert [row(stacked, s) for s in range(stacked.num_states)] == expected_rows
     assert sink_components(stacked) == expected_sinks
 
 
@@ -304,15 +285,17 @@ def benchmark_pool_kernels():
             found += 1
             yield build_kernel(game, BETTER)
             yield build_kernel(game, BEST)
-        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         for master in range(seed * 5, seed * 5 + 5):
-            instances = [_trial_instance(spec, _trial_seed(master, trial)) for trial in range(50)]
-            for game in _trial_games(instances):
+            instances = [
+                sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(master, trial))
+                for trial in range(50)
+            ]
+            for game in make_covering_games(instances):
                 yield build_kernel(game, BEST)
             # The block-diagonal kernels that run_monte_carlo searches,
             # built as it builds them.
             for batch in _batches((instance, None) for instance in instances):
-                yield build_batch_kernel(_trial_games([instance for instance, _ in batch]), BEST)
+                yield build_batch_kernel(make_covering_games([i for i, _ in batch]), BEST)
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):

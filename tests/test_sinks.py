@@ -12,7 +12,6 @@ from sinkeq.dynamics import (
     BEST,
     BETTER,
     TransitionKernel,
-    best_response_set,
     build_kernel,
     is_singleton_br,
 )
@@ -25,7 +24,6 @@ from sinkeq.generators import (
     make_radio_game,
     philox_rng,
     run_monte_carlo,
-    sample_action_counts,
     sample_covering_instance,
     sample_radio_instance,
     sample_random_game,
@@ -36,11 +34,11 @@ from sinkeq.sinks import (
     price_of_sinking,
     sink_components,
     sink_equilibria,
-    stationary_distribution,
     stationary_distributions,
 )
 
-from reference_kernels import stack_kernels
+from reference_kernels import response_set, row, stack_kernels
+from samplers import sample_action_counts
 
 
 def single_player(utility):
@@ -108,16 +106,16 @@ class TestComponents:
 class TestStationary:
     def test_singleton_support(self):
         k = build_kernel(single_player([0.0, 1.0]), BEST)
-        np.testing.assert_allclose(stationary_distribution(k, (1,)), [1.0])
+        np.testing.assert_allclose(stationary_distributions(k, [(1,)])[0], [1.0])
 
     def test_symmetric_two_cycle(self):
         k = hand_kernel([{1: 1.0}, {0: 1.0}])
-        np.testing.assert_allclose(stationary_distribution(k, (0, 1)), [0.5, 0.5])
+        np.testing.assert_allclose(stationary_distributions(k, [(0, 1)])[0], [0.5, 0.5])
 
     def test_deterministic_four_cycle_is_uniform(self):
         k = hand_kernel([{1: 1.0}, {2: 1.0}, {3: 1.0}, {0: 1.0}])
         np.testing.assert_allclose(
-            stationary_distribution(k, (0, 1, 2, 3)), [0.25] * 4
+            stationary_distributions(k, [(0, 1, 2, 3)])[0], [0.25] * 4
         )
 
     def test_periodic_chain_takes_the_lazy_step(self):
@@ -126,13 +124,13 @@ class TestStationary:
         # and {1} forever; the damped step converges.
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {1: 1.0}])
         np.testing.assert_allclose(
-            stationary_distribution(k, (0, 1, 2)), [0.25, 0.5, 0.25], rtol=0, atol=1e-12
+            stationary_distributions(k, [(0, 1, 2)])[0], [0.25, 0.5, 0.25], rtol=0, atol=1e-12
         )
 
     def test_open_support_is_rejected(self):
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
         with pytest.raises(InvalidParametersError):
-            stationary_distribution(k, (0, 1))
+            stationary_distributions(k, [(0, 1)])
 
     def test_support_with_an_absorbing_state_is_rejected(self):
         # Closed, but state 1 is a sink of its own, so (0, 1) is no SCC; the
@@ -144,12 +142,12 @@ class TestStationary:
                 InvalidParametersError,
                 match=r"^support is not a sink: state 1 only loops to itself$",
             ):
-                stationary_distribution(k, (0, 1))
+                stationary_distributions(k, [(0, 1)])
 
     def test_repeated_state_is_rejected(self):
         k = hand_kernel([{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}])
         with pytest.raises(InvalidParametersError, match=r"^support repeats state 0$"):
-            stationary_distribution(k, (0, 0, 1))
+            stationary_distributions(k, [(0, 0, 1)])
 
     @pytest.mark.parametrize("support,bad", [((-1, 0, 1), -1), ((0, 1, 2), 2)])
     def test_state_outside_the_kernel_is_rejected(self, support, bad):
@@ -157,22 +155,22 @@ class TestStationary:
         with pytest.raises(
             InvalidParametersError, match=rf"^support state {bad} is outside \[0, 2\)$"
         ):
-            stationary_distribution(k, support)
+            stationary_distributions(k, [support])
 
     def test_non_integral_state_is_rejected(self):
         k = hand_kernel([{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}])
         with pytest.raises(
             InvalidParametersError, match=r"^support states must be integers, not float64$"
         ):
-            stationary_distribution(k, (0, 0.5))
+            stationary_distributions(k, [(0, 0.5)])
 
     def test_one_state_support_must_be_its_own_self_loop(self):
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {2: 1.0}])
-        np.testing.assert_array_equal(stationary_distribution(k, [np.int32(2)]), [1.0])
+        np.testing.assert_array_equal(stationary_distributions(k, [[np.int32(2)]])[0], [1.0])
         with pytest.raises(
             InvalidParametersError, match=r"^support is not closed: 1 -> 0 leaves it$"
         ):
-            stationary_distribution(k, (1,))
+            stationary_distributions(k, [(1,)])
 
     def test_residual_and_positivity_on_random_games(self):
         rng = philox_rng(32, 0)
@@ -181,13 +179,13 @@ class TestStationary:
             g = sample_random_game(rng, counts)
             k = build_kernel(g, BEST)
             for support in sink_components(k):
-                pi = stationary_distribution(k, support)
+                pi = stationary_distributions(k, [support])[0]
                 assert pi.min() > 0.0
                 assert abs(pi.sum() - 1.0) <= 1e-10
                 pos = {s: i for i, s in enumerate(support)}
                 residual = np.zeros(len(support))
                 for s in support:
-                    for t, p in k.row(s):
+                    for t, p in row(k, s):
                         residual[pos[t]] += pi[pos[s]] * p
                 assert np.max(np.abs(residual - pi)) <= 1e-10
 
@@ -289,7 +287,7 @@ class TestStationarityIdentity:
                         ja = g.index_to_joint(s)
                         inner = 0.0
                         for i in range(g.num_players):
-                            (br,) = best_response_set(g, i, ja).actions
+                            (br,) = response_set(g, i, s)
                             target = s + (br - ja.coords[i]) * g.strides[i]
                             inner += func[s] - func[target]
                         total.append(p * inner)
@@ -300,7 +298,7 @@ def dense_matrix(kernel, support):
     pos = {s: i for i, s in enumerate(support)}
     matrix = np.zeros((len(support), len(support)))
     for s in support:
-        for t, p in kernel.row(s):
+        for t, p in row(kernel, s):
             matrix[pos[s], pos[t]] = p
     return matrix
 
@@ -401,7 +399,7 @@ def irreducible_chains(draw):
 def test_irreducible_chains_match_a_dense_solve(rows):
     kernel = hand_kernel(rows)
     support = tuple(range(len(rows)))
-    pi = stationary_distribution(kernel, support)
+    pi = stationary_distributions(kernel, [support])[0]
     assert pi.min() > 0.0
     np.testing.assert_allclose(
         pi, dense_solve(dense_matrix(kernel, support)), rtol=0, atol=STATIONARY_TOL
@@ -420,7 +418,7 @@ class TestPowerPath:
                 for support in sink_components(kernel):
                     if len(support) == 1:
                         continue
-                    pi = stationary_distribution(kernel, support)
+                    pi = stationary_distributions(kernel, [support])[0]
                     matrix = dense_matrix(kernel, support)
                     # Sparse and dense products of the same iteration agree to
                     # rounding; both stop within STATIONARY_TOL of the solve.
@@ -436,7 +434,7 @@ class TestPowerPath:
 
     def test_real_sink_above_the_limit(self, large_sink):
         kernel, support = large_sink
-        pi = stationary_distribution(kernel, support)
+        pi = stationary_distributions(kernel, [support])[0]
         matrix = dense_matrix(kernel, support)
         assert pi.min() > 0.0
         assert abs(pi.sum() - 1.0) <= 1e-12
@@ -454,7 +452,8 @@ class TestPowerPath:
             return left_product(pi, triples)
 
         monkeypatch.setattr(sinks, "_left_product", counted)
-        stationary_distribution(*large_sink)
+        kernel, support = large_sink
+        stationary_distributions(kernel, [support])
         assert 0 < len(products) <= 80
 
     def test_allocates_no_dense_matrix(self, large_sink):
@@ -462,7 +461,7 @@ class TestPowerPath:
         k = len(support)
         tracemalloc.start()
         try:
-            stationary_distribution(kernel, support)
+            stationary_distributions(kernel, [support])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -473,13 +472,13 @@ class TestPowerPath:
         with pytest.raises(
             InvalidParametersError, match=r"^support is not closed: 1 -> 2 leaves it$"
         ):
-            stationary_distribution(k, (0, 1))
+            stationary_distributions(k, [(0, 1)])
 
     def test_failure_names_size_steps_and_residual(self, monkeypatch):
         monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 3)
         k = hand_kernel([{1: 1.0}, {0: 0.5, 2: 0.5}, {0: 1.0}])
         with pytest.raises(NumericalFailureError) as info:
-            stationary_distribution(k, (0, 1, 2))
+            stationary_distributions(k, [(0, 1, 2)])
         message = str(info.value)
         assert "3-state sink" in message
         assert "3 steps" in message
@@ -535,7 +534,7 @@ class TestBatchedStationary:
         batched = stationary_distributions(kernel, supports)
         assert len(batched) == len(supports)
         for support, pi in zip(supports, batched):
-            assert pi.tobytes() == stationary_distribution(kernel, support).tobytes()
+            assert pi.tobytes() == stationary_distributions(kernel, [support])[0].tobytes()
             assert pi.tobytes() == reference_stationary(kernel, support).tobytes()
 
     def test_sinks_that_stop_at_different_steps(self, monkeypatch):
@@ -562,7 +561,7 @@ class TestBatchedStationary:
         monkeypatch.setattr(sinks, "_left_product", counted)
         for support in supports:
             products.append(0)
-            stationary_distribution(kernel, support)
+            stationary_distributions(kernel, [support])
         monkeypatch.undo()
         assert min(len(s) for s in supports) == 1 and len(set(products)) > 2
         for support, pi in zip(supports, stationary_distributions(kernel, supports)):
@@ -585,7 +584,7 @@ class TestBatchedStationary:
         supports = [(0, 1), (4, 5)]
         supports.insert(position, bad)
         with pytest.raises(InvalidParametersError) as alone:
-            stationary_distribution(kernel, bad)
+            stationary_distributions(kernel, [bad])
         with pytest.raises(InvalidParametersError) as batched:
             stationary_distributions(kernel, supports)
         assert str(batched.value) == str(alone.value)
@@ -607,7 +606,7 @@ class TestBatchedStationary:
         ])
         supports = [(0,), (1, 2), (3, 4, 5)]
         with pytest.raises(NumericalFailureError) as alone:
-            stationary_distribution(kernel, (3, 4, 5))
+            stationary_distributions(kernel, [(3, 4, 5)])
         with pytest.raises(NumericalFailureError) as batched:
             stationary_distributions(kernel, supports)
         assert str(batched.value) == str(alone.value)

@@ -18,8 +18,6 @@ from sinkeq.generators import (
     make_radio_game,
     philox_rng,
     sample_covering_instance,
-    sample_game_with_pure_nash,
-    sample_near_common_game,
     sample_radio_instance,
     sample_random_game,
 )
@@ -35,6 +33,8 @@ from sinkeq.smoothness import (
     MisalignmentReport,
     SLACK_TOL,
 )
+
+from samplers import sample_game_with_pure_nash, sample_near_common_game
 
 
 def single_player_common(welfare):
