@@ -86,9 +86,9 @@ def build_batch_kernel(
     each game's states follow those of the games before it, each block is
     the game's ``build_kernel``, bit for bit, and no edge joins two blocks.
 
-    One pass per player covers every game, with that player's stride and
-    action count per state.  Where action counts differ between games,
-    the shorter fibers are padded and the padded slots masked out.
+    One pass per player covers every game, with its stride and action count
+    per state; where action counts differ, shorter fibers are padded and the
+    padded slots masked out.  One sort of packed int64 keys orders the edges.
     """
     if mode not in (BEST, BETTER):
         raise InvalidParametersError(f"mode must be '{BEST}' or '{BETTER}'")
@@ -107,9 +107,16 @@ def build_batch_kernel(
     else:
         utilities = np.hstack([game.utilities for game in games])
         local = states - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    srcs, dsts, probs = [], [], []
-    # Off-diagonal targets come from exactly one player; only self-loops
-    # collect shares from several, summed in player order.
+    # One int64 key per edge packs its source, its target and the player
+    # whose share it carries (n for a self-loop), in 63 bits unless the tables
+    # exceed 16 GiB.  Keys never tie, as the targets of different players
+    # differ in different coordinates.  A share is ``1 / denoms[player, src]``;
+    # the self-loops' sums, in player order, are then written over theirs.
+    state_bits = (num_states - 1).bit_length()
+    player_bits = n.bit_length()
+    keys = []
+    widest = max(max(game.action_counts) for game in games)
+    denoms = np.ones((n + 1, num_states), np.min_scalar_type(n * widest))
     diag = np.zeros(num_states)
     for player in range(n):
         counts = [game.action_counts[player] for game in games]
@@ -129,30 +136,28 @@ def build_batch_kernel(
         mask = _admissible(utilities[player], fiber, states, mode, tie_tol)
         if ragged:
             mask &= ~padded
-        share = 1.0 / (n * mask.sum(axis=0))
+        denoms[player] = denom = n * mask.sum(axis=0)
         own = fiber == states
-        diag += np.where((mask & own).any(axis=0), share, 0.0)
+        diag += np.where((mask & own).any(axis=0), 1.0 / denom, 0.0)
         mask &= ~own
         # Positions in the (actions, states) table, read as flat indices:
         # a gather by them is much cheaper than by the boolean mask.
         at = np.flatnonzero(mask)
-        src = at % num_states
-        srcs.append(src)
-        dsts.append(fiber.ravel()[at])
-        probs.append(share[src])
+        keys.append(((at % num_states << state_bits) | fiber.ravel()[at]) << player_bits | player)
     looped = np.flatnonzero(diag)
-    srcs.append(looped)
-    dsts.append(looped)
-    probs.append(diag[looped])
+    keys.append(((looped << state_bits) | looped) << player_bits | n)
+    loops = keys[-1]
 
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    order = np.argsort(src * num_states + dst)
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    src = key >> (state_bits + player_bits)
     kernel = TransitionKernel(
         indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
-        indices=dst[order],
-        probs=np.concatenate(probs)[order],
+        indices=(key >> player_bits) & ((1 << state_bits) - 1),
+        probs=1.0 / denoms.ravel()[(key & ((1 << player_bits) - 1)) * num_states + src],
     )
+    kernel.probs[np.searchsorted(key, loops)] = diag[looped]
     for arr in (kernel.indptr, kernel.indices, kernel.probs):
         arr.setflags(write=False)
     return kernel

@@ -101,12 +101,14 @@ def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
 
 # Sweeps over the edges that ``sink_components`` may make, marking and
 # coloring together, before it hands the kernel to ``_tarjan``.  On the
-# 12-player interference games one coloring sweep costs about E x 6 ns and
-# ``_tarjan`` about E x 470 ns, so 80 sweeps cost about one Tarjan pass, and
-# a kernel that runs out of budget takes about twice as long as Tarjan alone
-# (up to 2.3 times on rows of one or two edges, where reduceat's cost per
-# row dominates).  The sweeps needed grow with the length of response paths,
-# which nothing bounds.
+# 12-player interference games one coloring sweep, pointer jump included,
+# costs about E x 4 ns and ``_tarjan`` about E x 250-300 ns, so 80 sweeps
+# cost about one Tarjan pass, and a kernel that runs out of budget takes
+# about twice as long as Tarjan alone (up to 2.5 times on rows of one or two
+# edges, where reduceat's cost per row dominates).  The sweeps needed grow
+# with the length of response paths, which nothing bounds.  Along rising
+# labels a color's reach doubles with each sweep (about log2(L) sweeps for a
+# path of L states), but along falling labels it moves one edge per sweep.
 _SWEEP_BUDGET = 80
 
 
@@ -142,8 +144,9 @@ def _absorbing_sinks(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]] | 
 
 
 def _colored_sinks(kernel: TransitionKernel, budget: int) -> list[tuple[int, ...]] | None:
-    """Sinks by reachability coloring (Orzan 2004), in no particular order,
-    or None once the sweeps would exceed ``budget``.
+    """Sinks by reachability coloring (Orzan 2004) with pointer jumping
+    (Shiloach & Vishkin 1982), in no particular order, or None once the
+    sweeps would exceed ``budget``.
 
     Needs a kernel with no empty row, as every stochastic kernel is:
     ``np.maximum.reduceat`` reads an empty row as the next row's first entry.
@@ -152,7 +155,8 @@ def _colored_sinks(kernel: TransitionKernel, budget: int) -> list[tuple[int, ...
     states = np.arange(kernel.num_states)
     sweeps = 0
 
-    # (a) color[v] becomes the largest state reachable from v.  A root
+    # (a) color[v] becomes the largest state reachable from v, and is always
+    # a state v reaches, so color[color[v]] is one too.  A root
     # (color[v] == v) reaches nothing above itself.
     color = states
     while True:
@@ -160,6 +164,7 @@ def _colored_sinks(kernel: TransitionKernel, budget: int) -> list[tuple[int, ...
             return None
         sweeps += 1
         grown = np.maximum(color, np.maximum.reduceat(color[indices], indptr[:-1]))
+        np.maximum(grown, grown[grown], out=grown)
         if np.array_equal(grown, color):
             break
         color = grown

@@ -204,13 +204,33 @@ class TestBatchKernel:
 
     def test_ragged_batch_with_one_action_players(self):
         rng = philox_rng(3, 0)
-        games = [
-            sample_random_game(rng, counts)
-            for counts in [(1, 4, 2), (3, 1, 1), (2, 2, 4), (1, 1, 1), (4, 3, 1)]
+        batches = [
+            [(1, 4, 2), (3, 1, 1), (2, 2, 4), (1, 1, 1), (4, 3, 1)],
+            # Each edge key packs two state fields and a player field.  The
+            # player field widens at 4 and 8 players; 7 players fill it.
+            # The state fields widen past 2^k states: batches of 16 and 17,
+            # 128 and 129, 256 and 257 states, and of 1 and 2 states, whose
+            # fields take no bit and one bit.
+            [(1, 1, 1)],
+            [(1, 1, 1, 1), (1, 1, 1, 1)],
+            [(2, 2, 2, 2)],
+            [(2, 2, 2, 2), (1, 1, 1, 1)],
+            [(2, 1, 3, 1), (1, 2, 1, 5)],
+            [(2, 1, 2, 1, 2, 1, 2), (1, 1, 1, 1, 1, 1, 1)],
+            [(2, 2, 2, 2, 2, 2, 2)],
+            [(2, 2, 2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 1)],
+            [(2, 2, 2, 2, 2, 2, 2, 2)],
+            [(2, 2, 2, 2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 1, 1)],
+            [(4, 1, 2, 1, 2, 1, 3, 1), (2, 2, 1, 1, 1, 1, 2, 2)],
+            # n times a response-set size passes 255, so the table of those
+            # products takes 16 bits.
+            [(130, 1), (3, 2)],
         ]
-        for mode in (BEST, BETTER):
-            want = stack_kernels([per_game_kernel(game, mode) for game in games])
-            assert_same_kernel(build_batch_kernel(games, mode), want)
+        for counts in batches:
+            games = [sample_random_game(rng, c) for c in counts]
+            for mode in (BEST, BETTER):
+                want = stack_kernels([per_game_kernel(game, mode) for game in games])
+                assert_same_kernel(build_batch_kernel(games, mode), want)
 
     def test_mixed_player_counts_are_refused(self):
         games = [single_player([0.0, 1.0]), counterexample_game(1.0, 2.0)]

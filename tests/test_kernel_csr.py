@@ -211,6 +211,28 @@ def test_long_staircase_takes_the_tarjan_fallback(monkeypatch):
     assert (63 + 63 * 64,) in found
 
 
+@pytest.mark.parametrize("length", [1_000, 10_000])
+def test_long_rising_path_finishes_in_the_coloring(monkeypatch, length):
+    # Each state moves to the next, up to a two-state sink at the end: no
+    # state is absorbing, and a color that moved one edge per sweep would
+    # need more sweeps than the budget holds.  A state also takes the color
+    # of its color, so along rising labels the colors cover twice the
+    # distance each sweep.
+    targets = np.append(np.arange(1, length), length - 2)
+    kernel = TransitionKernel(
+        indptr=np.arange(length + 1),
+        indices=targets,
+        probs=np.ones(length),
+    )
+    calls = count_tarjan_calls(monkeypatch)
+    colorings = count_coloring_calls(monkeypatch)
+    found = sink_components(kernel)
+    monkeypatch.undo()
+    assert calls == []
+    assert colorings == [sinks._SWEEP_BUDGET]
+    assert found == networkx_sinks(kernel) == [(length - 2, length - 1)]
+
+
 @st.composite
 def chains(draw):
     """Hand-built kernels: a run of blocks in topological order, each block
