@@ -11,18 +11,19 @@ Three concrete families are provided:
 
 All randomness flows through counter-based Philox generators keyed by
 ``SeedSequence(entropy, spawn_key)``, so trial streams are reproducible
-across platforms and independent of execution order.  ``philox_rng`` and
-the public samplers key their generators through numpy's ``SeedSequence``.
-Monte Carlo runs and ``make_covering_games`` derive the seeds and Philox
-keys of many streams in one vectorized pass (``streams.spawn_states``)
-that reproduces ``SeedSequence`` bit for bit, and re-key one Philox per
-stream instead of building a generator each; the streams are unchanged.
+across platforms and independent of execution order; instances carry all
+their draws, so the game builders draw nothing.  ``philox_rng`` and the
+public samplers key their generators through numpy's ``SeedSequence``.
+Monte Carlo runs derive the seeds and Philox keys of many streams in one
+vectorized pass (``streams.spawn_states``) that reproduces ``SeedSequence``
+bit for bit, and re-key one Philox per stream instead of building a
+generator each; the streams are unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +33,7 @@ from .dynamics import BEST
 from .errors import GameAnalysisError, InvalidParametersError, ValidationError
 from .game import NormalFormGame
 from .sinks import batch_price_of_sinking
-from .streams import philox_generator, rekeyed, spawn_states, stream_keys
+from .streams import philox_generator, rekeyed, spawn_states
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
 
 BOUND_TOL = 1e-9
@@ -43,6 +44,8 @@ MAX_PROFILES = 1 << 20
 
 def philox_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """Counter-based generator for the given seed and spawn path."""
+    if seed < 0:
+        raise InvalidParametersError("seed must be nonnegative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -116,10 +119,11 @@ class _SortedOptions(tuple):
 class CoveringInstance:
     """A region-covering problem with noisy per-agent value estimates.
 
-    ``options[i]`` lists the region subsets agent i may monitor.  Each agent's
-    estimate of region r is drawn once per run from
-    ``Normal(values[r] + bias, (scale * values[r])^2)`` and is deliberately
-    not clamped, so estimates may come out negative.
+    ``options[i]`` lists the region subsets agent i may monitor.
+    ``estimates[i, r]`` is agent i's estimate of region r; ``==`` ignores
+    it, and a given array is kept and made read-only.  If not given, it is
+    drawn from spawn child 1 of ``seed``, from ``Normal(values[r] + bias,
+    (scale * values[r])^2)``, and deliberately not clamped to be nonnegative.
     """
 
     values: tuple[float, ...]
@@ -127,6 +131,7 @@ class CoveringInstance:
     bias: float
     scale: float
     seed: int
+    estimates: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -160,6 +165,17 @@ class CoveringInstance:
         # A scale of -0.0 is kept as 0.0, so the estimates' zeros have the
         # signs that scale 0 gives them.
         object.__setattr__(self, "scale", self.scale + 0.0)
+        estimates = self.estimates
+        if estimates is None:
+            rng = philox_rng(self.seed, 1)
+            estimates = _drawn_estimates(self.values, self.bias, self.scale, len(norm), rng)
+        estimates = np.asarray(estimates, dtype=float)
+        if estimates.shape != (len(norm), m):
+            raise ValidationError(
+                f"estimates must have shape ({len(norm)}, {m}), got {estimates.shape}"
+            )
+        estimates.setflags(write=False)
+        object.__setattr__(self, "estimates", estimates)
 
     @property
     def num_agents(self) -> int:
@@ -170,28 +186,15 @@ class CoveringInstance:
         return len(self.values)
 
 
-def _covering_estimates(
-    instances: Sequence[CoveringInstance],
-    keys: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[np.ndarray]:
-    """Each instance's per-(agent, region) value estimates, drawn from
-    spawn child 1 of its seed, so they never overlap the option-sampling
-    stream.  ``rng`` (a new Philox if not given) is re-keyed to the key of
-    each instance's estimate stream in ``keys``, which are derived here, in
-    one pass, if not given."""
-    if keys is None:
-        keys = stream_keys([instance.seed for instance in instances], 1)
-    rng = rng or philox_generator()
-    out = []
-    for instance, key in zip(instances, keys):
-        values = np.asarray(instance.values)
-        z = rekeyed(rng, key).standard_normal((instance.num_agents, instance.num_regions))
-        # Bit for bit ``rng.normal`` over the broadcast means and deviations,
-        # which takes one standard normal per entry, in C order, and returns
-        # ``loc + scale * z``.
-        out.append((values + instance.bias) + (instance.scale * values) * z)
-    return out
+def _drawn_estimates(
+    values: Sequence[float], bias: float, scale: float, num_agents: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Every agent's estimates of ``values`` from ``rng``, bit for bit what
+    ``rng.normal`` draws over the broadcast means and deviations (``loc +
+    scale * z``, one standard normal z per entry in C order), in z's array."""
+    values = np.asarray(values)
+    z = rng.standard_normal((num_agents, len(values)))
+    return np.add(values + bias, np.multiply(z, scale * values, out=z), out=z)
 
 
 # Most table entries ``make_covering_games`` gathers into one block for its
@@ -216,13 +219,9 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     return make_covering_games([instance])[0]
 
 
-def make_covering_games(
-    instances: Sequence[CoveringInstance], estimates: Sequence[np.ndarray] | None = None
-) -> list[NormalFormGame]:
+def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
     """``make_covering_game`` of each of one or more instances with one
-    agent count, built together.  ``estimates`` holds each instance's
-    ``(agents, regions)`` value estimates, drawn from spawn child 1 of its
-    seed here if not given.
+    agent count, built together.
 
     Profiles share few distinct unions, so each distinct union of a game is
     summed once and scattered back to its profiles.  Unions of k regions
@@ -251,12 +250,10 @@ def make_covering_games(
     m = max(instance.num_regions for instance in instances)
     # Welfare values, then each agent's estimates, per game; zero past the
     # game's regions, which no union covers.
-    if estimates is None:
-        estimates = _covering_estimates(instances)
     tables = np.zeros((len(instances), 1 + n, m))
-    for table, instance, estimate in zip(tables, instances, estimates):
+    for table, instance in zip(tables, instances):
         table[0, : instance.num_regions] = instance.values
-        table[1:, : instance.num_regions] = estimate
+        table[1:, : instance.num_regions] = instance.estimates
 
     # Region bits of every option of every agent of every game, one byte
     # row per option, in that order.
@@ -370,9 +367,11 @@ def _covering_instance(
     options_per_agent: int = 4,
     *,
     rng: np.random.Generator,
+    estimate_key: np.ndarray | None = None,
 ) -> CoveringInstance:
     """``sample_covering_instance``, drawn from ``rng``: a generator keyed
-    as ``philox_rng(seed, 0)`` is."""
+    as ``philox_rng(seed, 0)`` is.  With ``estimate_key``, the key of
+    ``philox_rng(seed, 1)``, ``rng`` re-keyed to it draws the estimates."""
     if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
     if num_agents * options_per_agent * num_regions > MAX_PROFILES:
@@ -388,12 +387,20 @@ def _covering_instance(
     options = _SortedOptions(
         tuple(dict.fromkeys(tuple(compress(regions, row)) for row in masks)) for masks in draws
     )
+    values = (1.0,) * num_regions
+    estimates = None
+    # ``CoveringInstance`` refuses a non-finite bias or scale before drawing.
+    if estimate_key is not None and math.isfinite(bias) and math.isfinite(scale):
+        estimates = _drawn_estimates(
+            values, float(bias), float(scale), num_agents, rekeyed(rng, estimate_key)
+        )
     return CoveringInstance(
-        values=(1.0,) * num_regions,
+        values=values,
         options=options,
         bias=float(bias),
         scale=float(scale),
         seed=int(seed),
+        estimates=estimates,
     )
 
 
@@ -599,6 +606,28 @@ class CoveringMonteCarloSpec:
     bias: float
     scale: float
 
+    streams = 2  # spawn children of a trial seed: options, estimates
+
+    def bound(self) -> float:
+        if self.scale > 0:
+            beta = expected_covering_misalignment(self.bias, self.scale, self.num_regions)
+        else:
+            # Zero-variance limit of the folded-normal mean.
+            beta = self.num_regions * abs(self.bias)
+        return covering_sinking_bound(self.num_agents, beta)
+
+    def draw(self, seed: int, keys: np.ndarray, rng: np.random.Generator) -> CoveringInstance:
+        return _covering_instance(
+            self.num_agents, self.num_regions, self.bias, self.scale, seed,
+            rng=rekeyed(rng, keys[0]), estimate_key=keys[1],
+        )
+
+    def profiles(self, instance: CoveringInstance) -> int:
+        return math.prod(map(len, instance.options))
+
+    def games(self, instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
+        return make_covering_games(instances)
+
 
 @dataclass(frozen=True)
 class RadioMonteCarloSpec:
@@ -606,6 +635,20 @@ class RadioMonteCarloSpec:
 
     num_agents: int
     alpha: float
+
+    streams = 1  # spawn children of a trial seed: weights and estimates
+
+    def bound(self) -> float:
+        return radio_sinking_bound(self.num_agents, self.alpha)
+
+    def draw(self, seed: int, keys: np.ndarray, rng: np.random.Generator) -> RadioInstance:
+        return _radio_instance(self.num_agents, self.alpha, seed, rng=rekeyed(rng, keys[0]))
+
+    def profiles(self, instance: RadioInstance) -> int:
+        return 1 << instance.num_agents
+
+    def games(self, instances: Sequence[RadioInstance]) -> list[NormalFormGame]:
+        return [make_radio_game(instance) for instance in instances]
 
 
 @dataclass(frozen=True)
@@ -630,53 +673,6 @@ class MonteCarloSummary:
     results: tuple[TrialResult, ...]
 
 
-def _spec_bound(spec: CoveringMonteCarloSpec | RadioMonteCarloSpec) -> float:
-    if isinstance(spec, RadioMonteCarloSpec):
-        return radio_sinking_bound(spec.num_agents, spec.alpha)
-    if not isinstance(spec, CoveringMonteCarloSpec):
-        raise InvalidParametersError(f"unknown Monte Carlo spec {type(spec).__name__}")
-    if spec.scale > 0:
-        beta = expected_covering_misalignment(spec.bias, spec.scale, spec.num_regions)
-    else:
-        # Zero-variance limit of the folded-normal mean.
-        beta = spec.num_regions * abs(spec.bias)
-    return covering_sinking_bound(spec.num_agents, beta)
-
-
-def _trial_instance(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
-    seed: int,
-    rng: np.random.Generator,
-) -> CoveringInstance | RadioInstance:
-    """The instance of the trial with ``seed``, drawn from ``rng``: a
-    generator keyed as ``philox_rng(seed, 0)`` is."""
-    if isinstance(spec, CoveringMonteCarloSpec):
-        return _covering_instance(
-            spec.num_agents, spec.num_regions, spec.bias, spec.scale, seed, rng=rng
-        )
-    return _radio_instance(spec.num_agents, spec.alpha, seed, rng=rng)
-
-
-def _trial_games(
-    instances: Sequence[CoveringInstance] | Sequence[RadioInstance],
-    estimate_keys: np.ndarray,
-    rng: np.random.Generator,
-) -> list[NormalFormGame]:
-    """The games of trial instances of one family; covering estimates are
-    drawn as ``_covering_estimates(instances, estimate_keys, rng)``."""
-    if isinstance(instances[0], CoveringInstance):
-        return make_covering_games(
-            instances, _covering_estimates(instances, estimate_keys, rng)
-        )
-    return [make_radio_game(instance) for instance in instances]
-
-
-def _num_profiles(instance: CoveringInstance | RadioInstance) -> int:
-    if isinstance(instance, CoveringInstance):
-        return math.prod(map(len, instance.options))
-    return 1 << instance.num_agents
-
-
 # Most states a batch of Monte Carlo trials may hold; a larger trial is a
 # batch of its own.  One game build, one kernel build, one sink search and
 # one stationary solve serve a whole batch, which saves the per-call costs
@@ -695,15 +691,13 @@ def _trial_draws(
     trials: range,
     master_seed: int,
     rng: np.random.Generator,
-) -> Iterator[tuple[CoveringInstance | RadioInstance, np.ndarray]]:
-    """The instance of each of ``trials`` and the Philox keys of its other
-    streams: the estimates (spawn child 1 of the trial seed) of a covering
-    trial, none of an interference trial.
+) -> Iterator[CoveringInstance | RadioInstance]:
+    """The instance of each of ``trials``, from ``spec.draw`` of its seed,
+    the Philox keys of its ``spec.streams`` streams and ``rng``.
 
-    The trial seeds, and then the keys of each trial's streams, come from
-    one ``spawn_states`` pass per ``_KEY_CHUNK`` trials, and ``rng``,
-    re-keyed, draws every instance."""
-    streams = np.arange(1 + isinstance(spec, CoveringMonteCarloSpec), dtype=np.uint64)
+    The trial seeds, and then the keys, come from one ``spawn_states`` pass
+    per ``_KEY_CHUNK`` trials."""
+    streams = np.arange(spec.streams, dtype=np.uint64)
     for lo in range(trials.start, trials.stop, _KEY_CHUNK):
         chunk = np.arange(lo, min(lo + _KEY_CHUNK, trials.stop), dtype=np.uint64)
         seeds = spawn_states(master_seed, chunk, 2).view("<u8")[:, 0]
@@ -711,58 +705,30 @@ def _trial_draws(
             np.repeat(seeds, len(streams)), np.tile(streams, len(seeds)), 4
         ).view("<u8").reshape(len(seeds), len(streams), 2)
         for seed, key in zip(seeds.tolist(), keys):
-            yield _trial_instance(spec, seed, rekeyed(rng, key[0])), key[1:]
+            yield spec.draw(seed, key, rng)
 
 
 def _batches(
-    draws: Iterable[tuple[CoveringInstance | RadioInstance, np.ndarray]],
-) -> Iterator[list[tuple[CoveringInstance | RadioInstance, np.ndarray]]]:
-    """Consecutive trial draws in batches of at most ``_BATCH_STATES``
+    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
+    instances: Iterable[CoveringInstance | RadioInstance],
+) -> Iterator[list[CoveringInstance | RadioInstance]]:
+    """Consecutive trial instances in batches of at most ``_BATCH_STATES``
     states."""
-    batch: list[tuple[CoveringInstance | RadioInstance, np.ndarray]] = []
+    batch: list[CoveringInstance | RadioInstance] = []
     states = 0
-    for draw in draws:
-        profiles = _num_profiles(draw[0])
+    for instance in instances:
+        profiles = spec.profiles(instance)
         if batch and states + profiles > _BATCH_STATES:
             yield batch
             batch, states = [], 0
-        batch.append(draw)
+        batch.append(instance)
         states += profiles
     if batch:
         yield batch
 
 
-def _trial_prices(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec, trials: int, master_seed: int
-) -> list[float]:
-    """Every trial's price of sinking, from batches of consecutive trials.
-
-    After an error, drawing an instance or building or analyzing a batch,
-    the trials not yet priced run again as batches of one, so the error
-    names the first failing trial, as when every trial runs on its own.
-    """
-    prices: list[float] = []
-    rng = philox_generator()
-    try:
-        for batch in _batches(_trial_draws(spec, range(trials), master_seed, rng)):
-            prices += _batch_prices(batch, rng)
-    except GameAnalysisError:
-        for trial in range(len(prices), trials):
-            try:
-                draws = _trial_draws(spec, range(trial, trial + 1), master_seed, rng)
-                prices += _batch_prices(list(draws), rng)
-            except GameAnalysisError as exc:
-                raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
-    return prices
-
-
-def _batch_prices(
-    batch: list[tuple[CoveringInstance | RadioInstance, np.ndarray]], rng: np.random.Generator
-) -> list[float]:
-    """The price of sinking of each trial of a batch of draws, from one
-    game build and one ``batch_price_of_sinking``."""
-    instances, keys = zip(*batch)
-    games = _trial_games(instances, np.vstack(keys), rng)
+def _batch_prices(games: list[NormalFormGame]) -> list[float]:
+    """Each game's price of sinking, from one ``batch_price_of_sinking``."""
     return [pos for pos, _ in batch_price_of_sinking(games, mode=BEST)]
 
 
@@ -775,20 +741,38 @@ def run_monte_carlo(
 
     Deterministic for a fixed ``master_seed``: trial t draws from the Philox
     stream keyed by ``SeedSequence(master_seed, spawn_key=(t,))`` regardless
-    of execution order.  Trials are analyzed in batches, with the results
-    of analyzing each alone.  The first failing trial aborts the run, and
-    the error names it and the master seed: ``trial t (master_seed=s): ...``.
+    of execution order.  Batches of consecutive trials are analyzed
+    together, with the results of analyzing each alone.  The first failing
+    trial aborts the run, and the error names it and the master seed:
+    ``trial t (master_seed=s): ...``.  After an error, drawing an instance or
+    building or analyzing a batch, the trials not yet priced run again as
+    batches of one, so the error names the first failing trial, as when
+    every trial runs on its own.
     """
     if trials < 1:
         raise InvalidParametersError("need at least one trial")
     if master_seed < 0:
         raise InvalidParametersError("master_seed must be nonnegative")
-    bound = _spec_bound(spec)
+    if not isinstance(spec, (CoveringMonteCarloSpec, RadioMonteCarloSpec)):
+        raise InvalidParametersError(f"unknown Monte Carlo spec {type(spec).__name__}")
+    bound = spec.bound()
+    prices: list[float] = []
+    rng = philox_generator()
+    try:
+        for batch in _batches(spec, _trial_draws(spec, range(trials), master_seed, rng)):
+            prices += _batch_prices(spec.games(batch))
+    except GameAnalysisError:
+        for trial in range(len(prices), trials):
+            try:
+                instances = list(_trial_draws(spec, range(trial, trial + 1), master_seed, rng))
+                prices += _batch_prices(spec.games(instances))
+            except GameAnalysisError as exc:
+                raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
     results = [
         TrialResult(trial=trial, pos=pos, violation=pos < bound - BOUND_TOL)
-        for trial, pos in enumerate(_trial_prices(spec, trials, master_seed))
+        for trial, pos in enumerate(prices)
     ]
-    pos = np.array([r.pos for r in results])
+    pos = np.array(prices)
     std_err = float(np.std(pos, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloSummary(
         trials=trials,

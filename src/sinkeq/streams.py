@@ -2,15 +2,14 @@
 
 ``spawn_states`` gives ``SeedSequence(e, spawn_key=(k,)).generate_state``
 for many entropies and spawn keys in one vectorized pass, bit for bit, and
-``rekeyed`` points one Philox generator at a new key.  A caller that draws
-from many streams then builds no ``SeedSequence`` and no generator per
-stream.
+``rekeyed`` points one Philox generator at a new key: four such words, the
+key a ``Philox`` of that ``SeedSequence`` takes.  A caller that draws from
+many streams then builds no ``SeedSequence`` and no generator per stream.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -108,15 +107,6 @@ def spawn_states(
         if sel.any():
             out[sel] = _generate_states(assembled[:end, sel], words)
     return out
-
-
-def stream_keys(seeds: Sequence[int], stream: int) -> np.ndarray:
-    """The key of ``Philox(SeedSequence(seed, spawn_key=(stream,)))`` for
-    each seed, one pair of uint64 words per row.  Seeds outside the uint64 range take one
-    pass each."""
-    if all(0 <= seed < 1 << 64 for seed in seeds):
-        return spawn_states(np.array(seeds, dtype=np.uint64), stream, 4).view("<u8")
-    return np.vstack([spawn_states(int(seed), stream, 4).view("<u8") for seed in seeds])
 
 
 def philox_generator() -> np.random.Generator:

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,14 +306,87 @@ class TestCoveringReference:
             for bias, scale, seed in [(0.0, 0.0, 1), (-0.3, 2.0, 2), (1e-9, 1e9, 3), (5.0, 0.0, 4)]
         ]
         for instance in instances:
-            drawn = generators._covering_estimates([instance])[0]
-            assert drawn.tobytes() == reference_covering_estimates(instance).tobytes()
+            assert instance.estimates.tobytes() == reference_covering_estimates(instance).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(covering_instances())
     def test_random_estimates_match_the_broadcast_normal_draw(self, instance):
-        drawn = generators._covering_estimates([instance])[0]
-        assert drawn.tobytes() == reference_covering_estimates(instance).tobytes()
+        assert instance.estimates.tobytes() == reference_covering_estimates(instance).tobytes()
+
+
+class TestCoveringEstimates:
+    """``CoveringInstance.estimates``: given, or drawn from spawn child 1 of
+    the seed."""
+
+    values, options = (0.5, 1.0, 2.0), (((0, 2), (1,)), ((1,),))
+
+    def instance(self, **kwargs):
+        return CoveringInstance(self.values, self.options, bias=0.1, scale=0.3, **kwargs)
+
+    def test_given_estimates_are_kept(self):
+        given = np.arange(6.0).reshape(2, 3)
+        assert self.instance(seed=1, estimates=given).estimates is given
+        listed = self.instance(seed=1, estimates=given.tolist()).estimates
+        assert listed.dtype == np.float64 and listed.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 4), (6,), (1, 2, 3)])
+    def test_wrong_shapes_are_refused(self, shape):
+        with pytest.raises(ValidationError, match=r"^estimates must have shape \(2, 3\), got "):
+            self.instance(seed=1, estimates=np.zeros(shape))
+
+    def test_estimates_are_read_only(self):
+        for instance in (self.instance(seed=1), self.instance(seed=1, estimates=np.ones((2, 3)))):
+            with pytest.raises(ValueError):
+                instance.estimates[0, 0] = 1.0
+
+    def test_replace_keeps_them_and_equality_ignores_them(self):
+        instance = self.instance(seed=1)
+        replaced = dataclasses.replace(instance, bias=0.2)
+        assert replaced.estimates.tobytes() == instance.estimates.tobytes()
+        other = self.instance(seed=1, estimates=np.zeros((2, 3)))
+        assert other == instance and hash(other) == hash(instance)
+        assert other.estimates.tobytes() != instance.estimates.tobytes()
+
+    def test_seeds_past_uint64(self):
+        values = np.array(self.values)
+        for seed in (2**64, 2**64 + 5, 2**200 + 1):
+            z = philox_rng(seed, 1).standard_normal((2, 3))
+            expected = (values + 0.1) + (0.3 * values) * z
+            assert self.instance(seed=seed).estimates.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda seed: sample_covering_instance(2, 3, 0.0, 0.0, seed=seed),
+        lambda seed: sample_radio_instance(3, 0.8, seed),
+        lambda seed: CoveringInstance((1.0,), (((0,),),), bias=0.0, scale=0.0, seed=seed),
+        lambda seed: philox_rng(seed, 0),
+    ],
+    ids=["covering-sampler", "radio-sampler", "covering-instance", "philox-rng"],
+)
+def test_negative_seeds_are_refused(sample):
+    with pytest.raises(InvalidParametersError, match=r"^seed must be nonnegative$"):
+        sample(-1)
+
+
+def test_builders_draw_nothing(monkeypatch):
+    covering = [sample_covering_instance(4, 8, 0.01, 0.01, seed) for seed in range(5)]
+    covering.append(CoveringInstance((0.5, 2.0), (((0,), (1,)),), 0.1, 0.2, 3, np.ones((1, 2))))
+    radio = [sample_radio_instance(n, 0.8, n) for n in (2, 5)]
+    expected = make_covering_games(covering[:5]) + make_covering_games(covering[5:])
+    expected += [make_radio_game(instance) for instance in radio]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game builder drew")
+
+    for name in ("philox_rng", "philox_generator", "rekeyed"):
+        monkeypatch.setattr(generators, name, refuse)
+    games = make_covering_games(covering[:5]) + [make_covering_game(covering[5])]
+    games += [make_radio_game(instance) for instance in radio]
+    for game, alone in zip(games, expected, strict=True):
+        assert game.welfare.tobytes() == alone.welfare.tobytes()
+        assert game.utilities.tobytes() == alone.utilities.tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(8, 9), (127, 129, 300), (8191, 8193, 9000)])
@@ -631,11 +706,22 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParametersError):
             run_monte_carlo(RadioMonteCarloSpec(2, 1.0), trials=0, master_seed=0)
 
+    def test_a_non_finite_bias_and_scale_are_refused_without_a_warning(self):
+        spec = CoveringMonteCarloSpec(2, 3, math.inf, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^trial 0 \(master_seed=0\): bias and"):
+                run_monte_carlo(spec, trials=2, master_seed=0)
+
+    def test_unknown_spec_is_refused(self):
+        with pytest.raises(InvalidParametersError, match=r"^unknown Monte Carlo spec object$"):
+            run_monte_carlo(object(), trials=1, master_seed=0)
+
 
 def per_trial_monte_carlo(spec, trials, master_seed):
     """``run_monte_carlo`` as a loop that draws each trial with the public
     samplers and analyzes it on its own."""
-    bound = generators._spec_bound(spec)
+    bound = spec.bound()
     results = []
     for trial in range(trials):
         seed = trial_seed(master_seed, trial)
@@ -703,12 +789,12 @@ class TestBatchedMonteCarlo:
     def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
         # Trials hold at most 256 states, so trials 9 and 10 sit inside
         # the second or third batch of 2,048 states.  Both runs draw every
-        # instance through ``_covering_instance`` and every estimate through
-        # ``_covering_estimates``, so the failures go there.
+        # instance through ``_covering_instance`` and build every game
+        # through ``make_covering_games``, so the failures go there.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         bad_seed = trial_seed(7, failing)
         draw = generators._covering_instance
-        estimate = generators._covering_estimates
+        build = generators.make_covering_games
 
         def patched_draw(*args, **kwargs):
             instance = draw(*args, **kwargs)
@@ -719,13 +805,13 @@ class TestBatchedMonteCarlo:
             # No region is worth anything, so the optimal welfare is zero.
             return dataclasses.replace(instance, values=(0.0,) * instance.num_regions)
 
-        def patched_estimate(instances, *keys_and_rng):
+        def patched_build(instances):
             if any(instance.seed == bad_seed for instance in instances):
                 raise ValidationError("patched failure")
-            return estimate(instances, *keys_and_rng)
+            return build(instances)
 
         if where == "build":
-            monkeypatch.setattr(generators, "_covering_estimates", patched_estimate)
+            monkeypatch.setattr(generators, "make_covering_games", patched_build)
         else:
             monkeypatch.setattr(generators, "_covering_instance", patched_draw)
         with pytest.raises(GameAnalysisError) as loop:
@@ -810,8 +896,14 @@ def philox_key(seed, stream):
     return philox.state["state"]["key"]
 
 
+def stream_key(seed, stream):
+    """The Philox key of ``philox_rng(seed, stream)``, from ``spawn_states``."""
+    return streams.spawn_states(seed, stream, 4).view("<u8")[0]
+
+
 class TestSpawnStates:
-    """``spawn_states`` and ``stream_keys`` against numpy's ``SeedSequence``."""
+    """``spawn_states``, and the Philox keys it gives, against numpy's
+    ``SeedSequence``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -853,16 +945,11 @@ class TestSpawnStates:
     )
     @example(seeds=[0, 2**64 - 1], stream=1)
     def test_stream_keys(self, seeds, stream):
-        keys = streams.stream_keys(seeds, stream)
+        keys = streams.spawn_states(np.array(seeds, dtype=np.uint64), stream, 4).view("<u8")
         assert keys.shape == (len(seeds), 2)
         for seed, key in zip(seeds, keys):
             assert np.array_equal(key, philox_key(seed, stream))
-
-    def test_stream_keys_of_seeds_past_uint64(self):
-        seeds = [2**64, 3, 2**200 + 1]
-        keys = streams.stream_keys(seeds, 1)
-        for seed, key in zip(seeds, keys):
-            assert np.array_equal(key, philox_key(seed, 1))
+            assert np.array_equal(stream_key(seed, stream), key)
 
     def test_negative_entropy_is_refused_as_numpy_refuses_it(self):
         with pytest.raises(ValueError):
@@ -890,16 +977,23 @@ class TestRekeyedDraws:
                 # Leave half a 64-bit word and a part-read buffer behind.
                 rng.integers(0, 2, size=3)
                 rng.random(3)
-                rekeyed = streams.rekeyed(rng, streams.stream_keys([seed], stream)[0])
+                rekeyed = streams.rekeyed(rng, stream_key(seed, stream))
                 assert draw(rekeyed).tobytes() == draw(philox_rng(seed, stream)).tobytes()
 
     def test_covering_options_with_redrawn_blocks(self):
         # A block of four bits is all zero one time in 16 and drawn again.
+        # Every estimate of bias -1 and scale -0.0 is a zero, whose sign
+        # must be the one scale 0 gives it.
         rng = streams.philox_generator()
         redrawn = 0
-        for seed in range(40):
-            rekeyed = streams.rekeyed(rng, streams.stream_keys([seed], 0)[0])
-            instance = generators._covering_instance(2, 1, 0.0, 0.0, seed, 4, rng=rekeyed)
-            assert instance == sample_covering_instance(2, 1, 0.0, 0.0, seed, 4)
+        noise = [(0.0, 0.0), (0.3, 0.2), (-1.0, -0.0)]
+        for seed, (bias, scale) in itertools.product(range(40), noise):
+            rekeyed = streams.rekeyed(rng, stream_key(seed, 0))
+            instance = generators._covering_instance(
+                2, 1, bias, scale, seed, 4, rng=rekeyed, estimate_key=stream_key(seed, 1)
+            )
+            sampled = sample_covering_instance(2, 1, bias, scale, seed, 4)
+            assert instance == sampled
+            assert instance.estimates.tobytes() == sampled.estimates.tobytes()
             redrawn += reference_covering_draws(2, 1, seed, 4)[1] > 0
         assert redrawn > 0

@@ -17,6 +17,7 @@ from sinkeq.dynamics import (
 )
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
+    CoveringMonteCarloSpec,
     _batches,
     make_covering_game,
     make_covering_games,
@@ -316,8 +317,8 @@ def benchmark_pool_kernels():
                 yield build_kernel(game, BEST)
             # The block-diagonal kernels that run_monte_carlo searches,
             # built as it builds them.
-            for batch in _batches((instance, None) for instance in instances):
-                yield build_batch_kernel(make_covering_games([i for i, _ in batch]), BEST)
+            for batch in _batches(CoveringMonteCarloSpec(4, 8, 0.01, 0.01), instances):
+                yield build_batch_kernel(make_covering_games(batch), BEST)
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):
