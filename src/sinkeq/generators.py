@@ -68,8 +68,10 @@ def counterexample_game(lam: float, mu: float) -> NormalFormGame:
     adjacent profiles with eps = (mu - lam)/2, and zero elsewhere.  Utilities
     pull both players away from the optimum into a four-state cycle over the
     zero-welfare block, so the unique sink has expected welfare exactly 0.
-    Requires mu > lam >= 0.
+    Requires finite mu > lam >= 0.
     """
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise InvalidParametersError("lam and mu must be finite")
     if not mu > lam >= 0.0:
         raise InvalidParametersError(f"need mu > lam >= 0, got lam={lam}, mu={mu}")
     eps = (mu - lam) / 2.0
@@ -136,6 +138,8 @@ class CoveringInstance:
     def __post_init__(self):
         if not self.values:
             raise ValidationError("need at least one region")
+        if not all(map(math.isfinite, self.values)):
+            raise ValidationError("region values must be finite")
         if any(v < 0 for v in self.values):
             raise ValidationError("region values must be nonnegative")
         if not (math.isfinite(self.bias) and math.isfinite(self.scale)):
@@ -174,6 +178,8 @@ class CoveringInstance:
             raise ValidationError(
                 f"estimates must have shape ({len(norm)}, {m}), got {estimates.shape}"
             )
+        if not np.isfinite(estimates).all():
+            raise ValidationError("estimates must be finite")
         estimates.setflags(write=False)
         object.__setattr__(self, "estimates", estimates)
 
@@ -455,6 +461,8 @@ class RadioInstance:
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValidationError("weights must be a square matrix")
         n = weights.shape[0]
+        if not np.isfinite(weights).all():
+            raise ValidationError("weights must be finite")
         if np.any(weights < 0):
             raise ValidationError("weights must be nonnegative")
         if np.any(np.diag(weights) != 0):
@@ -466,6 +474,8 @@ class RadioInstance:
             raise ValidationError(
                 f"estimates must have shape ({n}, {n}, {n}), got {estimates.shape}"
             )
+        if not np.isfinite(estimates).all():
+            raise ValidationError("estimates must be finite")
         slop = 1e-12 * (1.0 + weights)
         lo = self.alpha * weights - slop
         hi = weights / self.alpha + slop

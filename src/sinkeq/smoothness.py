@@ -34,10 +34,13 @@ RATIO_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SmoothnessCertificate:
-    """Per-state slack of the smoothness inequality for one (lam, mu) pair."""
+    """Per-state slack of the smoothness inequality for one (lam, mu) pair,
+    valid when no slack is below ``-SLACK_TOL * scale``: ``scale`` is the
+    largest term of any slack, and a pair whose terms overflow is invalid."""
 
     slack: np.ndarray
     optimum: JointAction
+    scale: float
 
     @property
     def min_slack(self) -> float:
@@ -45,7 +48,7 @@ class SmoothnessCertificate:
 
     @property
     def valid(self) -> bool:
-        return self.min_slack >= -SLACK_TOL
+        return math.isfinite(self.scale) and self.min_slack >= -SLACK_TOL * self.scale
 
 
 @dataclass(frozen=True)
@@ -112,100 +115,95 @@ def _deviation_totals(
 
 
 def check_smoothness(
-    game: NormalFormGame,
-    lam: float,
-    mu: float,
-    common_interest: bool = False,
+    game: NormalFormGame, lam: float, mu: float, common_interest: bool = False
 ) -> SmoothnessCertificate:
     """Evaluate the smoothness inequality at every state for fixed (lam, mu)."""
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise InvalidParametersError("lam and mu must be finite")
     if not 0.0 <= lam <= mu:
         raise InvalidParametersError(f"need mu >= lam >= 0, got lam={lam}, mu={mu}")
     optimum, wopt = optimal_profile(game)
     deviation = _deviation_totals(game, optimum, common_interest)
     slack = mu * game.welfare - lam * wopt - deviation
     slack.setflags(write=False)
-    return SmoothnessCertificate(slack=slack, optimum=optimum)
+    # lam * W(opt) is at most mu * W(opt), the largest mu * W(a).
+    scale = max(mu * wopt, float(np.abs(deviation).max()))
+    return SmoothnessCertificate(slack=slack, optimum=optimum, scale=scale)
 
 
 def best_smoothness(
     game: NormalFormGame, common_interest: bool = False
 ) -> tuple[float, float]:
-    """Certificate maximizing lam/mu, found by bisection on the ratio.
+    """Certificate maximizing lam/mu, solved exactly.
 
-    For a fixed ratio ``rho``, a certificate with ``lam = rho * mu`` exists iff
-    some ``mu >= 0`` satisfies ``mu * (W(a) - rho * W(opt)) >= D(a)`` at every
-    state, which reduces to intersecting per-state lower and upper bounds on
-    ``mu``.  Feasibility is monotone in ``rho``, so bisection applies; the
-    search stops at ratio tolerance 1e-9 and returns the witness with the
-    smallest feasible ``mu``.
+    With ``t = 1/mu`` the best ratio is the maximum over ``t > 0`` of the
+    lower envelope ``min_a (W(a) - t D(a)) / W(opt)``, at most 1 since the
+    optimum's line is flat.  A walk (Dinkelbach's iteration) keeps one line
+    that does not fall and one that falls, jumps to their crossing, swaps in
+    the lowest line there, and stops when none is strictly below it.  Ties
+    go to the least ``mu``, or, when no line falls and every ``mu`` down to
+    0 is best, to ``min(1, largest)``.  When a least-welfare state has ``D >
+    0`` the supremum ``min W / W(opt)`` is approached only as ``mu`` grows,
+    and the least-``mu`` pair at ``1 - RATIO_TOL`` times it is returned.
+    Scaling the game by a power of 2 returns the same pair bit for bit.
 
     Raises
     ------
     DegenerateWelfareError
         If the optimal welfare is zero.
     CertificateNotFoundError
-        If no finite certificate exists (a zero-welfare state with positive
-        total deviation gain blocks every ``lam >= 0``).
+        If a zero-welfare state with positive total deviation gain blocks
+        every certificate with ``lam >= 0``.
     NumericalFailureError
-        If the deviation totals, a tried ``mu`` or every slack of a tried
-        pair overflow the float range, which entries near 1e308 can cause;
-        a returned pair and its minimum slack are finite.
+        If the deviation totals, ``mu`` or a slack of the returned pair
+        overflow the float range, as entries near 1e308 can make them.
     """
     optimum, wopt = positive_optimum(game)
     deviation = _deviation_totals(game, optimum, common_interest)
     if not np.all(np.isfinite(deviation)):
         raise NumericalFailureError("deviation gains overflow the float range")
-    welfare = game.welfare
-    zero_tol = 1e-12 * max(1.0, wopt)
-
-    def witness(rho: float) -> tuple[float, float] | None:
-        margin = welfare - rho * wopt
-        pos = margin > zero_tol
-        neg = margin < -zero_tol
-        lower = 0.0
-        upper = math.inf
-        if np.any(pos):
-            lower = max(0.0, float(np.max(deviation[pos] / margin[pos])))
-        if np.any(neg):
-            upper = float(np.min(deviation[neg] / margin[neg]))
-        if np.any(deviation[~(pos | neg)] > SLACK_TOL):
-            return None
-        if upper <= 0.0 or lower > upper + 1e-12 * max(1.0, abs(lower)):
-            return None
-        mu = lower if lower > 0.0 else min(1.0, upper)
-        lam = rho * mu
-        # Near an unattained supremum the minimal feasible mu blows up and
-        # rounding can push some slack below the validity tolerance, or
-        # overflow can make it NaN; such a ratio is treated as infeasible so
-        # the returned pair always passes check_smoothness.
-        slack = mu * welfare - lam * wopt - deviation
-        low = float(slack.min())
-        if mu == math.inf or low == math.inf:
+    welfare, least = game.welfare, game.welfare.min()
+    falling = deviation > 0.0
+    if np.any(welfare[falling] == 0.0):
+        raise CertificateNotFoundError("no finite smoothness certificate: a zero-welfare "
+                                       "state has positive total deviation gain")
+    with np.errstate(over="ignore"):
+        floor = np.max(deviation[falling] / welfare[falling], initial=0.0)
+    if floor == math.inf:  # ratio 0 needs mu >= D(a) / W(a), a larger one more
+        rho, t = 0.0, 1.0 / floor
+    elif np.any(welfare[falling] == least):
+        rho = least / wopt * (1.0 - RATIO_TOL)
+        t = np.min((welfare[falling] - rho * wopt) / deviation[falling])
+    elif not falling.any():  # the envelope rises to its lowest flat line
+        level = welfare[deviation == 0.0].min()
+        rho = level / wopt
+        rising = deviation < 0.0
+        t = max(1.0, np.max((welfare[rising] - level) / deviation[rising], initial=0.0))
+    else:
+        # No pair comes back in exact arithmetic; rounding near concurrent
+        # lines could bring one back, and the walk stops there.
+        r, f = int(np.argmin(welfare)), int(np.argmax(deviation))
+        seen = set()
+        while True:
+            seen.add((r, f))
+            t = (welfare[f] - welfare[r]) / (deviation[f] - deviation[r])
+            values = welfare - t * deviation
+            low = int(np.argmin(values))
+            swapped = (r, low) if falling[low] else (low, f)
+            if not values[low] < min(values[r], values[f]) or swapped in seen:
+                break
+            r, f = swapped
+        # The crossing's height on the line that does not fall, whose two
+        # terms do not cancel.
+        rho = values[r] / wopt
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu = float(1.0 / t)
+        lam = float(rho) * mu
+        if not (mu > 0.0 and np.all(np.isfinite(mu * welfare - lam * wopt - deviation))):
             raise NumericalFailureError(
-                f"smoothness certificate overflows the float range at ratio {rho!r}"
+                f"smoothness certificate overflows the float range at ratio {float(rho)!r}"
             )
-        if not low >= -SLACK_TOL:
-            return None
-        return lam, mu
-
-    best = witness(0.0)
-    if best is None:
-        raise CertificateNotFoundError(
-            "no finite smoothness certificate: a zero-welfare state has "
-            "positive total deviation gain"
-        )
-    top = witness(1.0)
-    if top is not None:
-        return top
-    lo, hi = 0.0, 1.0
-    while hi - lo > RATIO_TOL:
-        mid = 0.5 * (lo + hi)
-        pair = witness(mid)
-        if pair is not None:
-            lo, best = mid, pair
-        else:
-            hi = mid
-    return best
+    return lam, mu
 
 
 def additive_sinking_bound(lam_c: float, mu_c: float, num_players: int, beta: float) -> float:
@@ -335,7 +333,8 @@ def better_response_witness(
         )
     optimum = certificate.optimum
     ratio = lam / mu if mu > 0 else 0.0
-    threshold = ratio * float(game.welfare[optimum.flat])
+    wopt = float(game.welfare[optimum.flat])
+    threshold = ratio * wopt
 
     kernel = build_kernel(game, mode=BETTER)
     # States where no player gains by switching to its optimal coordinate.
@@ -348,7 +347,7 @@ def better_response_witness(
         best_pos = int(np.argmax(values))
         best_state = support[best_pos]
         best_welfare = float(values[best_pos])
-        if best_welfare < threshold - SLACK_TOL:
+        if best_welfare < threshold - SLACK_TOL * wopt:
             raise WitnessNotFoundError(
                 f"sink starting at state {support[0]} has max welfare "
                 f"{best_welfare:.6g} below threshold {threshold:.6g}"

@@ -201,7 +201,9 @@ class TestExitCodes:
         [
             (["--scale=inf"], "bias and scale must be finite"),
             (["--bias=nan"], "bias and scale must be finite"),
-            (["--bias=1e308", "--scale=1e308"], "utility entries must be finite"),
+            # Finite estimates whose sums over a union overflow.
+            (["--bias=1e308", "--scale=0"], "utility entries must be finite"),
+            (["--bias=1e308", "--scale=1e308"], "estimates must be finite"),
         ],
     )
     def test_non_finite_covering_draws_are_one_line(self, capsys, flags, message):

@@ -355,6 +355,34 @@ class TestCoveringEstimates:
             assert self.instance(seed=seed).estimates.tobytes() == expected.tobytes()
 
 
+class TestNonFiniteFields:
+    """Each instance field refuses NaN and infinity when the instance is
+    built, naming the field."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_covering_estimates(self, bad):
+        estimates = np.array([[1.0, bad]])
+        with pytest.raises(ValidationError, match=r"^estimates must be finite$"):
+            CoveringInstance((1.0, 2.0), (((0,), (1,)),), 0.0, 0.0, 1, estimates)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_covering_values(self, bad):
+        with pytest.raises(ValidationError, match=r"^region values must be finite$"):
+            CoveringInstance((1.0, bad), (((0,), (1,)),), 0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_radio_weights(self, bad):
+        weights = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValidationError, match=r"^weights must be finite$"):
+            RadioInstance(weights, 0.5, np.zeros((2, 2, 2)))
+
+    def test_radio_estimates(self):
+        estimates = np.zeros((2, 2, 2))
+        estimates[1, 0, 1] = math.nan
+        with pytest.raises(ValidationError, match=r"^estimates must be finite$"):
+            RadioInstance(np.zeros((2, 2)), 0.5, estimates)
+
+
 @pytest.mark.parametrize(
     "sample",
     [

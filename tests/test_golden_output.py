@@ -77,7 +77,7 @@ def invocations(names) -> list[list[str]]:
         out.append(["bounds", "--input", path])
         out.append(["smoothness", "--input", path])
         out.append(["smoothness", "--input", path, "--common-interest"])
-    for lam, mu in (("1", "2"), ("0", "1"), ("0.25", "3"), ("2", "1")):
+    for lam, mu in (("1", "2"), ("0", "1"), ("0.25", "3"), ("2", "1"), ("1", "inf")):
         out.append(["counterexample", "--lambda", lam, "--mu", mu])
     for fmt in ("json", "csv"):
         out.append(["covering-mc", "--n", "3", "--regions", "4", "--trials", "6",
@@ -106,9 +106,9 @@ def invocations(names) -> list[list[str]]:
         out.append(["covering-mc", "--n", "3", "--regions", regions,
                     "--bias", "-0.5", "--scale", "1",
                     "--trials", "20", "--seed", "2", "--format", "csv"])
-    # Monte Carlo runs whose first trial fails: an instance refused for its
-    # scale, a game refused for its overflowing estimates, and an instance
-    # refused for its size.  The error names the trial and its master seed.
+    # Monte Carlo runs whose first trial fails: instances refused for their
+    # scale and for their overflowing estimates, and an instance refused for
+    # its size.  The error names the trial and its master seed.
     out.append(["covering-mc", "--n", "2", "--regions", "3", "--trials", "2",
                 "--scale", "inf"])
     out.append(["covering-mc", "--n", "2", "--regions", "3", "--trials", "2",

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from sinkeq.smoothness import (
     measure_misalignment,
     multiplicative_sinking_bound,
     MisalignmentReport,
+    RATIO_TOL,
     SLACK_TOL,
 )
 
@@ -45,6 +48,10 @@ def single_player_common(welfare):
 def scaled_utilities(welfare, factor, counts=(2, 2)):
     w = np.asarray(welfare, dtype=float)
     return NormalFormGame(counts, w, np.vstack([factor * w] * len(counts)))
+
+
+def scaled_game(game, scale):
+    return NormalFormGame(game.action_counts, game.welfare * scale, game.utilities * scale)
 
 
 class TestCheckSmoothness:
@@ -81,6 +88,25 @@ class TestCheckSmoothness:
         with pytest.raises(InvalidParametersError):
             check_smoothness(g, -0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "lam,mu", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite_parameters(self, lam, mu):
+        g = single_player_common([0.0, 1.0])
+        with pytest.raises(InvalidParametersError, match=r"^lam and mu must be finite$"):
+            check_smoothness(g, lam, mu)
+        with pytest.raises(InvalidParametersError, match=r"^lam and mu must be finite$"):
+            counterexample_game(lam, mu)
+
+    def test_validity_ignores_power_of_two_scaling(self):
+        # (1, 2) leaves zero slack at the gap game's cross states, so a
+        # larger lambda fails there by 1e-6 times the game's scale, which the
+        # absolute tolerance 1e-9 forgave on a game scaled by 2^-60.
+        g = counterexample_game(1.0, 2.0)
+        for lam, mu, valid in [(1.0, 2.0, True), (1.0 + 1e-6, 2.0, False), (0.5, 2.0, True)]:
+            for k in (-60, 0, 60):
+                assert check_smoothness(scaled_game(g, 2.0**k), lam, mu).valid is valid
+
 
 class TestBestSmoothness:
     def test_single_player_common_interest_reaches_one(self):
@@ -109,6 +135,21 @@ class TestBestSmoothness:
             assert check_smoothness(g, lam, mu).valid
             assert lam / mu <= price_of_anarchy(g) + 1e-6
 
+    def test_walk_ends_when_rounding_brings_a_pair_back(self):
+        # The six lines W(a) - t D(a) pass within two ulps of one point, and
+        # their rounded crossings send the walk round a cycle of pairs.  The
+        # last state is the optimum, whose flat line lies above them all.
+        welfare = [2.8424639399686638, 2.8634162185921057, 9.505273253675425,
+                   17.017970644285878, 1.0917068176766196, 7.184385229935284, 20.0]
+        gains = [-2.388441950712484, -2.3777171184281864, 1.0220468899529624,
+                 4.867567511601813, -4.402223950839538, -0.1659448913991346, 0.0]
+        game = NormalFormGame((7,), welfare, [gains])
+        lam, mu = best_smoothness(game)
+        assert check_smoothness(game, lam, mu).valid
+        supremum, attained = envelope_oracle(game, False)
+        assert attained
+        assert abs(lam / mu - float(supremum)) <= 4 * math.ulp(float(supremum))
+
     def test_degenerate_welfare(self):
         g = NormalFormGame((2,), np.zeros(2), np.array([[0.0, 1.0]]))
         with pytest.raises(DegenerateWelfareError):
@@ -120,6 +161,103 @@ class TestBestSmoothness:
         g = NormalFormGame((2,), np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))
         with pytest.raises(CertificateNotFoundError):
             best_smoothness(g)
+
+
+def envelope_oracle(game, common_interest):
+    """The supremum over t > 0 of ``min_a (W(a) - t D(a)) / W(opt)``, in
+    exact fractions, and whether some t > 0 attains it.
+
+    The deviation totals are summed in plain floats in the package's order,
+    so the oracle solves the problem the package is given.  The envelope is
+    concave and its breaks are crossings of two lines, so the best value on
+    t > 0 is at a positive crossing, or at any t (here 1) when the envelope
+    is constant; the supremum is that value or the limit t -> 0+, the least
+    welfare, whichever is larger.
+    """
+    welfare = [float(w) for w in game.welfare]
+    target = game.index_to_joint(welfare.index(max(welfare))).coords
+    lines = []
+    for state in range(game.num_profiles):
+        coords = game.index_to_joint(state).coords
+        total = 0.0
+        for player in range(game.num_players):
+            table = game.welfare if common_interest else game.utilities[player]
+            moved = list(coords)
+            moved[player] = target[player]
+            total += float(table[state]) - float(table[game.joint_to_index(moved)])
+        lines.append((Fraction(welfare[state]), Fraction(total)))
+    wopt = Fraction(max(welfare))
+    points = {(w2 - w1) / (d2 - d1) for (w1, d1), (w2, d2) in combinations(lines, 2) if d1 != d2}
+    best = max(min(w - t * d for w, d in lines) for t in points | {Fraction(1)} if t > 0)
+    limit = min(w for w, _ in lines)
+    return (best / wopt, True) if best >= limit else (limit / wopt, False)
+
+
+@st.composite
+def small_games(draw):
+    counts = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda c: math.prod(c) <= 12)
+    )
+    total = math.prod(counts)
+    # Eighths tie often and make lines concurrent; the floats do not.
+    welfare = st.one_of(st.integers(0, 24).map(lambda k: k / 8), st.floats(0.01, 3.0))
+    utility = st.one_of(st.integers(-24, 24).map(lambda k: k / 8), st.floats(-3.0, 3.0))
+    return NormalFormGame(
+        counts,
+        draw(st.lists(welfare, min_size=total, max_size=total).filter(lambda w: max(w) > 0)),
+        [draw(st.lists(utility, min_size=total, max_size=total)) for _ in counts],
+    )
+
+
+FOUND_WELFARE = [1.0, 0.5, 0.5, 0.7]
+FOUND_UTILITIES = [[0.2, 0.9, 0.1, 0.3], [0.4, 0.1, 0.8, 0.2]]
+
+
+def found_game(scale):
+    """A 2x2 game whose supremum 0.5 is approached only as mu grows: its
+    least-welfare state (1, 0) gains 0.7 by moving to the optimum."""
+    return NormalFormGame(
+        (2, 2), np.multiply(FOUND_WELFARE, scale), np.multiply(FOUND_UTILITIES, scale)
+    )
+
+
+class TestBestSmoothnessOracle:
+    @pytest.mark.parametrize("common_interest", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(game=small_games())
+    @example(game=found_game(1.0))
+    @example(game=counterexample_game(1.0, 2.0))
+    @example(game=NormalFormGame((2,), [1.0, 0.0], [[0.0, 1.0]]))
+    def test_matches_the_exact_envelope(self, game, common_interest):
+        supremum, attained = envelope_oracle(game, common_interest)
+        if supremum == 0 and not attained:
+            with pytest.raises(CertificateNotFoundError):
+                best_smoothness(game, common_interest)
+            return
+        lam, mu = best_smoothness(game, common_interest)
+        assert type(lam) is float and type(mu) is float
+        assert check_smoothness(game, lam, mu, common_interest).valid
+        # An unattained supremum is answered 1e-9 below it, far more than
+        # 4 ulp, so the ratio also tells whether the two agree on attainment.
+        expected = float(supremum if attained else supremum * (1 - Fraction(RATIO_TOL)))
+        assert abs(lam / mu - expected) <= 4 * math.ulp(expected)
+
+
+class TestScaleLadder:
+    def test_powers_of_two_give_the_same_pair(self):
+        pairs = {
+            tuple(x.hex() for x in best_smoothness(found_game(2.0**k)))
+            for k in (-1000, -40, -20, 0, 20, 40)
+        }
+        assert len(pairs) == 1
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e12])
+    def test_ratio_never_exceeds_the_supremum(self, scale):
+        game = found_game(scale)
+        assert envelope_oracle(game, False) == (Fraction(1, 2), False)
+        lam, mu = best_smoothness(game)
+        assert lam / mu < 0.5
+        assert check_smoothness(game, lam, mu).valid
 
 
 class TestMisalignment:
@@ -318,12 +456,14 @@ class TestBoundReport:
 
 class TestBetterResponseWitness:
     def test_common_interest_sinks_witness_themselves(self):
-        w = philox_rng(46, 0).uniform(0.1, 1.0, size=9)
-        g = NormalFormGame((3, 3), w, np.vstack([w, w]))
-        lam, mu = best_smoothness(g)
-        for witness in better_response_witness(g, lam, mu):
-            assert witness.welfare >= lam / mu * w.max() - SLACK_TOL
-            assert witness.aligned_action is not None
+        # Below a welfare of about 1e-9 an absolute floor let every sink pass.
+        for scale in (1.0, 2.0**-40):
+            w = philox_rng(46, 0).uniform(0.1, 1.0, size=9) * scale
+            g = NormalFormGame((3, 3), w, np.vstack([w, w]))
+            lam, mu = best_smoothness(g)
+            for witness in better_response_witness(g, lam, mu):
+                assert witness.welfare >= (lam / mu - SLACK_TOL) * w.max()
+                assert witness.aligned_action is not None
 
     def test_gap_game_better_sinks_reach_threshold(self):
         g = counterexample_game(1.0, 2.0)
