@@ -54,15 +54,6 @@ def _check_tie_tol(tie_tol: float) -> None:
         raise InvalidParametersError("tie_tol must be finite")
 
 
-def _admissible(table: np.ndarray, fiber: np.ndarray, states, mode: str, tie_tol: float) -> np.ndarray:
-    """Boolean ``mask[k, ...]``: the target ``fiber[k, ...]`` of each of
-    ``states`` is in the response set of the player with payoffs ``table``."""
-    val = table[fiber]
-    if mode == BEST:
-        return val >= val.max(axis=0) - tie_tol
-    return val >= table[states]
-
-
 def build_kernel(
     game: NormalFormGame,
     mode: str = BEST,
@@ -133,7 +124,9 @@ def build_batch_kernel(
             # already in the fiber, so the best payoff stays as it is.
             padded = np.arange(width)[:, None] >= c
             fiber = np.where(padded, states, fiber)
-        mask = _admissible(utilities[player], fiber, states, mode, tie_tol)
+        val = utilities[player][fiber]
+        # Best response: within tie_tol of the best payoff; better: weakly improving.
+        mask = val >= (val.max(axis=0) - tie_tol if mode == BEST else utilities[player])
         if ragged:
             mask &= ~padded
         denoms[player] = denom = n * mask.sum(axis=0)
@@ -173,15 +166,15 @@ def is_singleton_br(
     with the smallest state index (smallest player breaking ties).
     """
     _check_tie_tol(tie_tol)
-    states = np.arange(game.num_profiles)
-    counts = [
-        _admissible(table, game.fiber(player, states), states, BEST, tie_tol).sum(axis=0)
-        for player, table in enumerate(game.utilities)
-    ]
-    stacked = np.vstack(counts) > 1
-    broken_states = np.flatnonzero(stacked.any(axis=0))
-    if broken_states.size == 0:
+    firsts = []
+    for player, table in enumerate(game.utilities):
+        v = game.action_axis(table, player)
+        tied = (v >= v.max(axis=1, keepdims=True) - tie_tol).sum(axis=1) > 1
+        if tied.any():
+            # The first tied fiber (high, low) starts at state high * c * s + low.
+            high, low = divmod(int(tied.argmax()), v.shape[2])
+            firsts.append((high * v.shape[1] * v.shape[2] + low, player))
+    if not firsts:
         return True, None
-    state = int(broken_states[0])
-    player = int(np.flatnonzero(stacked[:, state])[0])
+    state, player = min(firsts)
     return False, (player, state)

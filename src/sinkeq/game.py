@@ -169,14 +169,12 @@ class NormalFormGame:
             return self.index_to_joint(int(action))
         return self.index_to_joint(self.joint_to_index(action))
 
-    def fiber(self, player: int, states) -> np.ndarray:
-        """Flat indices ``out[k, ...]``: each of ``states`` (a flat index or
-        an array of them) with ``player``'s action replaced by ``k``."""
-        s = self.strides[player]
-        c = self.action_counts[player]
-        states = np.asarray(states)
-        base = states - states // s % c * s
-        return base + s * np.arange(c).reshape((c,) + (1,) * states.ndim)
+    def action_axis(self, table: np.ndarray, player: int) -> np.ndarray:
+        """View of a flat per-state ``table`` as ``(high, actions, low)``, no
+        copy: axis 1 runs over ``player``'s action, the other players' fixed.
+        State ``h * c * s + k * s + l`` sits at ``[h, k, l]``, where ``c`` and
+        ``s`` are the player's action count and stride."""
+        return table.reshape(-1, self.action_counts[player], self.strides[player])
 
 
 def optimal_profile(game: NormalFormGame) -> tuple[JointAction, float]:
@@ -196,23 +194,27 @@ def positive_optimum(game: NormalFormGame) -> tuple[JointAction, float]:
     return optimum, wopt
 
 
-def _nash_mask(game: NormalFormGame, states) -> np.ndarray:
-    """Whether each of ``states`` gives every player its fiber's best payoff."""
-    mask = np.ones(np.shape(states), dtype=bool)
+def _nash_mask(game: NormalFormGame) -> np.ndarray:
+    """Whether each state gives every player the best payoff of its actions."""
+    mask = np.ones(game.num_profiles, dtype=bool)
     for player, u in enumerate(game.utilities):
-        mask &= u[states] >= u[game.fiber(player, states)].max(axis=0)
+        v = game.action_axis(u, player)
+        mask &= (v >= v.max(axis=1, keepdims=True)).ravel()
     return mask
 
 
 def is_nash(game: NormalFormGame, action: JointAction | Sequence[int] | int) -> bool:
-    """True iff no player gains from any unilateral deviation (exact comparison)."""
-    return bool(_nash_mask(game, game.joint(action).flat))
+    """True iff no player gains from any unilateral deviation (exact comparison).
+
+    Checks every state, O(num_profiles) a call; ``enumerate_nash`` is the
+    one pass for many states.
+    """
+    return bool(_nash_mask(game)[game.joint(action).flat])
 
 
 def enumerate_nash(game: NormalFormGame) -> list[JointAction]:
     """All pure Nash equilibria in flat-index order (possibly empty)."""
-    mask = _nash_mask(game, np.arange(game.num_profiles))
-    return [game.index_to_joint(int(f)) for f in np.flatnonzero(mask)]
+    return [game.index_to_joint(int(f)) for f in np.flatnonzero(_nash_mask(game))]
 
 
 def price_of_anarchy(game: NormalFormGame) -> float:

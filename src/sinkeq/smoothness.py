@@ -98,10 +98,10 @@ def _deviation_gains(
     game: NormalFormGame, optimum: JointAction, common_interest: bool
 ) -> Iterator[np.ndarray]:
     """Per player, U_i(a) - U_i(opt_i, rest of a) at every state a."""
-    states = np.arange(game.num_profiles)
     for player, target in enumerate(optimum.coords):
         table = game.welfare if common_interest else game.utilities[player]
-        yield table - table[game.fiber(player, states)[target]]
+        v = game.action_axis(table, player)
+        yield (v - v[:, target:target + 1]).ravel()
 
 
 def _deviation_totals(
@@ -338,9 +338,9 @@ def better_response_witness(
 
     kernel = build_kernel(game, mode=BETTER)
     # States where no player gains by switching to its optimal coordinate.
-    aligned_states = np.all(
-        [gain >= 0.0 for gain in _deviation_gains(game, optimum, False)], axis=0
-    )
+    aligned_states = np.ones(game.num_profiles, dtype=bool)
+    for gain in _deviation_gains(game, optimum, False):
+        aligned_states &= gain >= 0.0
     witnesses = []
     for support in sink_components(kernel):
         values = game.welfare[list(support)]

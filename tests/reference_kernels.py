@@ -39,7 +39,9 @@ def per_game_kernel(game, mode=BEST, tie_tol=0.0):
     srcs, dsts, probs = [], [], []
     diag = np.zeros(num_states)
     for player in range(n):
-        fiber = game.fiber(player, states)
+        # Each state with the player's action replaced by each of its actions.
+        s, c = game.strides[player], game.action_counts[player]
+        fiber = states - states // s % c * s + s * np.arange(c)[:, None]
         table = game.utilities[player]
         val = table[fiber]
         if mode == BEST:

@@ -102,11 +102,20 @@ class TestIndexing:
         assert g.coords(()) == []
 
     def test_deviation_map(self):
+        # Axis 1 of the view runs over one player's action, the others fixed:
+        # entry k of a state's fiber is that state with the action set to k.
         g = two_by_two_common()
         states = np.arange(g.num_profiles)
-        np.testing.assert_array_equal(g.fiber(0, states)[1], [1, 1, 3, 3])
-        np.testing.assert_array_equal(g.fiber(1, states)[0], [0, 1, 0, 1])
-        np.testing.assert_array_equal(g.fiber(1, 3), [1, 3])
+
+        def deviate(player, k):
+            v = g.action_axis(states, player)
+            return np.broadcast_to(v[:, k:k + 1], v.shape).ravel()
+
+        np.testing.assert_array_equal(deviate(0, 1), [1, 1, 3, 3])
+        np.testing.assert_array_equal(deviate(1, 0), [0, 1, 0, 1])
+        # State 3 = (1, 1) sits at [0, 1, 1] of player 1's view.
+        np.testing.assert_array_equal(g.action_axis(states, 1)[0, :, 1], [1, 3])
+        assert np.shares_memory(g.action_axis(g.welfare, 1), g.welfare)
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
-"""README's "Library tour" names only what its modules define, so a
-renamed or deleted name fails here instead of leaving the README stale."""
+"""README's "Library tour" names only what its modules define, and its
+example runs as its comments say, so a renamed or deleted name fails here
+instead of leaving the README stale."""
 
 import importlib
 import re
@@ -35,3 +36,15 @@ def test_every_name_resolves(module, names):
     found = importlib.import_module(module)
     assert [name for name in names if not name.isidentifier()] == []
     assert [name for name in names if not hasattr(found, name)] == []
+
+
+def test_example_runs_as_commented():
+    # The "Example" block's comments state its results; run the block and
+    # hold it to them, so a renamed API or return value fails here.
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n```python\n", 1)[1].split("\n```", 1)[0]
+    assert "# 0.0, sink support (4, 5, 7, 8)" in block
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["pos"] == 0.0
+    assert namespace["worst"].support == (4, 5, 7, 8)
