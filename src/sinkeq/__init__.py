@@ -52,8 +52,6 @@ from .generators import (
 )
 from .sinks import (
     SinkEquilibrium,
-    batch_price_of_sinking,
-    batch_sink_equilibria,
     price_of_sinking,
     sink_components,
     sink_equilibria,

@@ -39,7 +39,7 @@ from .generators import (
     run_monte_carlo,
 )
 from .sinks import sink_equilibria
-from .smoothness import best_smoothness, bound_report, check_smoothness
+from .smoothness import best_certificate, bound_report, check_smoothness
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -141,8 +141,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_smoothness(args: argparse.Namespace) -> int:
     game = load_game(args.input)
-    lam, mu = best_smoothness(game, common_interest=args.common_interest)
-    cert = check_smoothness(game, lam, mu, common_interest=args.common_interest)
+    lam, mu, cert = best_certificate(game, args.common_interest)
     _print_json(
         {
             "request": _request_dict(args),

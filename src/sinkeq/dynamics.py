@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParametersError
-from .game import NormalFormGame
+from .game import NormalFormGame, stacked_tables
 
 BEST = "best"
 BETTER = "better"
@@ -76,10 +76,7 @@ def build_batch_kernel(
     """Block-diagonal kernel of one or more games with one player count:
     each game's states follow those of the games before it, each block is
     the game's ``build_kernel``, bit for bit, and no edge joins two blocks.
-
-    One pass per player covers every game, with its stride and action count
-    per state; where action counts differ, shorter fibers are padded and the
-    padded slots masked out.  One sort of packed int64 keys orders the edges.
+    This is ``stacked_kernel`` of the games' action counts and utilities.
     """
     if mode not in (BEST, BETTER):
         raise InvalidParametersError(f"mode must be '{BEST}' or '{BETTER}'")
@@ -89,15 +86,25 @@ def build_batch_kernel(
     n = games[0].num_players
     if any(game.num_players != n for game in games):
         raise InvalidParametersError("games in one batch must have the same number of players")
+    counts, _, utilities = stacked_tables(games)
+    return stacked_kernel(counts, utilities, mode, tie_tol)
 
-    sizes = [game.num_profiles for game in games]
-    num_states = sum(sizes)
+
+def stacked_kernel(
+    counts: np.ndarray, utilities: np.ndarray, mode: str = BEST, tie_tol: float = 0.0
+) -> TransitionKernel:
+    """``build_batch_kernel`` of games given by their action counts, one row
+    per game, and their utility tables laid end to end, with a checked mode.
+    One pass per player covers every game, with its stride and action count
+    per state; where action counts differ, shorter fibers are padded and the
+    padded slots masked out.  One sort of packed int64 keys orders the edges."""
+    sizes = counts.prod(axis=1)
+    # Exact: each entry of the running product is a multiple of the count.
+    strides = np.cumprod(counts, axis=1) // counts
+    num_states = int(sizes.sum())
+    n = counts.shape[1]
     states = np.arange(num_states)
-    if len(games) == 1:
-        utilities, local = games[0].utilities, states
-    else:
-        utilities = np.hstack([game.utilities for game in games])
-        local = states - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    local = states if len(counts) == 1 else states - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # One int64 key per edge packs its source, its target and the player
     # whose share it carries (n for a self-loop), in 63 bits unless the tables
     # exceed 16 GiB.  Keys never tie, as the targets of different players
@@ -106,19 +113,16 @@ def build_batch_kernel(
     state_bits = (num_states - 1).bit_length()
     player_bits = n.bit_length()
     keys = []
-    widest = max(max(game.action_counts) for game in games)
-    denoms = np.ones((n + 1, num_states), np.min_scalar_type(n * widest))
+    denoms = np.ones((n + 1, num_states), np.min_scalar_type(n * int(counts.max())))
     diag = np.zeros(num_states)
     for player in range(n):
-        counts = [game.action_counts[player] for game in games]
-        strides = [game.strides[player] for game in games]
-        width = max(counts)
-        if counts.count(width) == len(counts) and strides.count(strides[0]) == len(strides):
-            c, s = width, strides[0]
+        c, s = counts[:, player], strides[:, player]
+        width, ragged = int(c.max()), bool(c.max() > c.min())
+        if not ragged and (s == s[0]).all():
+            c, s = width, int(s[0])
         else:
-            c, s = np.repeat(counts, sizes), np.repeat(strides, sizes)
+            c, s = np.repeat(c, sizes), np.repeat(s, sizes)
         fiber = states - local // s % c * s + s * np.arange(width)[:, None]
-        ragged = width > min(counts)
         if ragged:
             # A padded slot points at the state itself, whose payoff is
             # already in the fiber, so the best payoff stays as it is.

@@ -70,11 +70,6 @@ class NormalFormGame:
             raise ValidationError(
                 f"welfare: expected {total} entries, got {welfare.size}"
             )
-        if not np.all(np.isfinite(welfare)):
-            raise ValidationError("welfare entries must be finite")
-        if np.any(welfare < 0.0):
-            raise ValidationError("welfare entries must be nonnegative")
-
         utilities = np.ascontiguousarray(np.asarray(self.utilities, dtype=float))
         if utilities.ndim == 1 and len(counts) == 1:
             utilities = utilities.reshape(1, -1)
@@ -83,8 +78,7 @@ class NormalFormGame:
                 f"utilities: expected shape ({len(counts)}, {total}), "
                 f"got {utilities.shape}"
             )
-        if not np.all(np.isfinite(utilities)):
-            raise ValidationError("utility entries must be finite")
+        check_entries(welfare, utilities)
 
         welfare.setflags(write=False)
         utilities.setflags(write=False)
@@ -175,6 +169,25 @@ class NormalFormGame:
         State ``h * c * s + k * s + l`` sits at ``[h, k, l]``, where ``c`` and
         ``s`` are the player's action count and stride."""
         return table.reshape(-1, self.action_counts[player], self.strides[player])
+
+
+def check_entries(welfare: np.ndarray, utilities: np.ndarray) -> None:
+    """Refuse non-finite or negative welfare, then non-finite utility entries."""
+    if not np.all(np.isfinite(welfare)):
+        raise ValidationError("welfare entries must be finite")
+    if np.any(welfare < 0.0):
+        raise ValidationError("welfare entries must be nonnegative")
+    if not np.all(np.isfinite(utilities)):
+        raise ValidationError("utility entries must be finite")
+
+
+def stacked_tables(games: Sequence[NormalFormGame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Action counts of games with one player count, one row per game, and
+    their tables laid end to end; a single game's tables are not copied."""
+    counts = np.array([game.action_counts for game in games])
+    if len(games) == 1:
+        return counts, games[0].welfare, games[0].utilities
+    return counts, np.hstack([g.welfare for g in games]), np.hstack([g.utilities for g in games])
 
 
 def optimal_profile(game: NormalFormGame) -> tuple[JointAction, float]:

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import BEST
 from .errors import GameAnalysisError, InvalidParametersError, ValidationError
-from .game import NormalFormGame
-from .sinks import batch_price_of_sinking
+from .game import NormalFormGame, check_entries, stacked_tables
+from .sinks import batch_prices
 from .streams import philox_generator, rekeyed, spawn_states
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
 
@@ -48,6 +47,13 @@ def philox_rng(seed: int, *spawn_key: int) -> np.random.Generator:
         raise InvalidParametersError("seed must be nonnegative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _stream_keys(seed: int, *streams: int) -> np.ndarray:
+    """The Philox key of ``philox_rng(seed, s)`` for each stream s, one row each."""
+    if seed < 0:
+        raise InvalidParametersError("seed must be nonnegative")
+    return spawn_states(int(seed), np.array(streams, dtype=np.uint64), 4).view("<u8")
 
 
 def _checked_profiles(total: int) -> int:
@@ -112,11 +118,6 @@ def counterexample_game(lam: float, mu: float) -> NormalFormGame:
 # Covering games
 # ---------------------------------------------------------------------------
 
-class _SortedOptions(tuple):
-    """Per-agent options whose subsets are already tuples of distinct ints
-    in increasing order, which ``CoveringInstance`` then keeps as given."""
-
-
 @dataclass(frozen=True)
 class CoveringInstance:
     """A region-covering problem with noisy per-agent value estimates.
@@ -142,22 +143,17 @@ class CoveringInstance:
             raise ValidationError("region values must be finite")
         if any(v < 0 for v in self.values):
             raise ValidationError("region values must be nonnegative")
-        if not (math.isfinite(self.bias) and math.isfinite(self.scale)):
-            raise ValidationError("bias and scale must be finite")
-        if self.scale < 0:
-            raise ValidationError("scale must be nonnegative")
+        _check_noise(self.bias, self.scale)
         if not self.options:
             raise ValidationError("need at least one agent")
         m = len(self.values)
-        canonical = type(self.options) is _SortedOptions
         norm = []
         for i, opts in enumerate(self.options):
             if not opts:
                 raise ValidationError(f"agent {i} has no coverage options")
             rows = []
             for subset in opts:
-                if not canonical:
-                    subset = tuple(sorted(set(int(r) for r in subset)))
+                subset = tuple(sorted(set(int(r) for r in subset)))
                 if subset and not 0 <= subset[0] <= subset[-1] < m:
                     raise ValidationError(
                         f"agent {i}: option {subset} has regions outside [0, {m})"
@@ -171,8 +167,8 @@ class CoveringInstance:
         object.__setattr__(self, "scale", self.scale + 0.0)
         estimates = self.estimates
         if estimates is None:
-            rng = philox_rng(self.seed, 1)
-            estimates = _drawn_estimates(self.values, self.bias, self.scale, len(norm), rng)
+            key, rng = _stream_keys(self.seed, 1), philox_generator()
+            estimates = _estimate_draws(len(norm), self.values, self.bias, self.scale, key, rng)[0]
         estimates = np.asarray(estimates, dtype=float)
         if estimates.shape != (len(norm), m):
             raise ValidationError(
@@ -192,15 +188,12 @@ class CoveringInstance:
         return len(self.values)
 
 
-def _drawn_estimates(
-    values: Sequence[float], bias: float, scale: float, num_agents: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Every agent's estimates of ``values`` from ``rng``, bit for bit what
-    ``rng.normal`` draws over the broadcast means and deviations (``loc +
-    scale * z``, one standard normal z per entry in C order), in z's array."""
-    values = np.asarray(values)
-    z = rng.standard_normal((num_agents, len(values)))
-    return np.add(values + bias, np.multiply(z, scale * values, out=z), out=z)
+def _check_noise(bias: float, scale: float) -> None:
+    """Refuse a bias or scale that is not finite, and a negative scale."""
+    if not (math.isfinite(bias) and math.isfinite(scale)):
+        raise ValidationError("bias and scale must be finite")
+    if scale < 0:
+        raise ValidationError("scale must be nonnegative")
 
 
 # Most table entries ``make_covering_games`` gathers into one block for its
@@ -227,7 +220,41 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
 
 def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
     """``make_covering_game`` of each of one or more instances with one
-    agent count, built together.
+    agent count, built together by ``_covering_tables``."""
+    if not instances:
+        raise InvalidParametersError("need at least one covering instance")
+    n = instances[0].num_agents
+    if any(instance.num_agents != n for instance in instances):
+        raise InvalidParametersError(
+            "covering instances in one batch must have the same number of agents"
+        )
+    counts = np.array([[len(opts) for opts in instance.options] for instance in instances])
+    regions = [instance.num_regions for instance in instances]
+    # Welfare values, then each agent's estimates, per game; zero past the
+    # game's regions, which no union covers.
+    tables = np.zeros((len(instances), 1 + n, max(regions)))
+    for table, instance in zip(tables, instances):
+        table[0, : instance.num_regions] = instance.values
+        table[1:, : instance.num_regions] = instance.estimates
+    options = list(chain.from_iterable(chain.from_iterable(i.options for i in instances)))
+    lengths = np.fromiter(map(len, options), dtype=np.int64, count=len(options))
+    masks = np.zeros((len(options), max(regions)), dtype=bool)
+    masks[
+        np.repeat(np.arange(len(options)), lengths),
+        np.fromiter(chain.from_iterable(options), dtype=np.int64, count=int(lengths.sum())),
+    ] = True
+    columns = _covering_tables(tables, np.packbits(masks, axis=1), counts, regions)
+    tables = np.split(columns, np.cumsum(counts.prod(axis=1))[:-1], axis=1)
+    return [NormalFormGame(tuple(c), t[0], t[1:]) for c, t in zip(counts.tolist(), tables)]
+
+
+def _covering_tables(
+    tables: np.ndarray, bits: np.ndarray, counts: np.ndarray, regions: Sequence[int]
+) -> np.ndarray:
+    """Welfare and utility tables of covering games laid end to end, one row
+    each, checked as ``NormalFormGame`` checks them.  Game g has ``regions[g]``
+    regions, ``counts[g, i]`` options for agent i, and ``tables[g]`` of its
+    values, then each agent's estimates; ``bits`` packs every option's regions.
 
     Profiles share few distinct unions, so each distinct union of a game is
     summed once and scattered back to its profiles.  Unions of k regions
@@ -237,59 +264,28 @@ def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFor
     over a table of masks, or over a block whose last axis is strided, adds
     in another order and moves the last bits.
     """
-    if not instances:
-        raise InvalidParametersError("need at least one covering instance")
-    n = instances[0].num_agents
-    if any(instance.num_agents != n for instance in instances):
-        raise InvalidParametersError(
-            "covering instances in one batch must have the same number of agents"
-        )
-    counts = np.array([[len(opts) for opts in instance.options] for instance in instances])
     totals = []
-    for instance, row in zip(instances, counts.tolist()):
+    for row, m in zip(counts.tolist(), regions):
         total = _checked_profiles(math.prod(row))
-        if total * ((instance.num_regions + 7) // 8) > MAX_PROFILES:
+        if total * ((m + 7) // 8) > MAX_PROFILES:
             raise InvalidParametersError(
                 f"game would need more than {MAX_PROFILES} bytes of region bits"
             )
         totals.append(total)
-    m = max(instance.num_regions for instance in instances)
-    # Welfare values, then each agent's estimates, per game; zero past the
-    # game's regions, which no union covers.
-    tables = np.zeros((len(instances), 1 + n, m))
-    for table, instance in zip(tables, instances):
-        table[0, : instance.num_regions] = instance.values
-        table[1:, : instance.num_regions] = instance.estimates
-
-    # Region bits of every option of every agent of every game, one byte
-    # row per option, in that order.
-    options = list(chain.from_iterable(chain.from_iterable(i.options for i in instances)))
-    lengths = np.fromiter(map(len, options), dtype=np.int64, count=len(options))
-    masks = np.zeros((len(options), m), dtype=bool)
-    masks[
-        np.repeat(np.arange(len(options)), lengths),
-        np.fromiter(chain.from_iterable(options), dtype=np.int64, count=int(lengths.sum())),
-    ] = True
-    bits = np.packbits(masks, axis=1)
+    (games, n), m = counts.shape, tables.shape[2]
     firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-
     # Each profile's key: its game, in as few bytes as number the games
     # (none for one game), then the region bits of its union, read as one
     # big-endian number in ``width`` 64-bit words, so that keys sort in the
     # order of their bytes.  Agent i's option at a profile is digit i of
     # the game's flat index, agent 0 varying fastest.
     profiles = sum(totals)
-    if len(instances) == 1:
-        game, rest = 0, np.arange(profiles)
-    else:
-        game = np.repeat(np.arange(len(instances)), totals)
-        rest = np.arange(profiles) - np.repeat(np.cumsum(totals) - totals, totals)
-    prefix = ((len(instances) - 1).bit_length() + 7) // 8
+    game = np.repeat(np.arange(games), totals)
+    rest = np.arange(profiles) - np.repeat(np.cumsum(totals) - totals, totals)
+    prefix = ((games - 1).bit_length() + 7) // 8
     width = (prefix + bits.shape[1] + 7) // 8
-    ids = np.zeros((len(instances), prefix + bits.shape[1]), dtype=np.uint8)
-    ids[:, :prefix] = (
-        np.arange(len(instances), dtype=">u8").reshape(-1, 1).view(np.uint8)[:, 8 - prefix :]
-    )
+    ids = np.zeros((games, prefix + bits.shape[1]), dtype=np.uint8)
+    ids[:, :prefix] = np.arange(games, dtype=">u8")[:, None].view(np.uint8)[:, 8 - prefix :]
     keys = np.repeat(_words(ids, width), totals, axis=0)
     unions = _words(bits, width)
     for i in range(n):
@@ -328,15 +324,11 @@ def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFor
             sums[lo:hi] = tables[owner[lo:hi, None, None], layers, cols].sum(axis=-1)
             at += (hi - lo) * k
         row += count
-    # Each profile's sums, back through the size order, one column each.
-    columns = sums.T[:, np.argsort(by_size)[inverse]]
-    ends = list(accumulate(totals))
-    return [
-        NormalFormGame(
-            action_counts=tuple(actions), welfare=columns[0, a:b], utilities=columns[1:, a:b]
-        )
-        for actions, a, b in zip(counts.tolist(), [0] + ends[:-1], ends)
-    ]
+    # Each profile's sums, back through the size order, one C-contiguous
+    # row each, which the kernel's gathers read faster than strided ones.
+    columns = np.take(sums.T, np.argsort(by_size)[inverse], axis=1)
+    check_entries(columns[0], columns[1:])
+    return columns
 
 
 def sample_covering_instance(
@@ -357,57 +349,65 @@ def sample_covering_instance(
     is redrawn for the same agent.  One call draws a block for every agent
     still without one, and calls repeat until each has one; a bit takes
     one 32-bit output of the stream whatever the call, so the agents get
-    the blocks that drawing one block at a time gives them.
+    the blocks that drawing one block at a time gives them.  The estimates
+    come from spawn child 1.  This is the draw of ``run_monte_carlo``.
     """
-    return _covering_instance(
-        num_agents, num_regions, bias, scale, seed, options_per_agent, rng=philox_rng(seed, 0)
-    )
+    keys, rng, values = _stream_keys(seed, 0, 1), philox_generator(), (1.0,) * num_regions
+    counts, bits = _option_draws(num_agents, num_regions, keys[:1], rng, options_per_agent)
+    estimates = _estimate_draws(num_agents, values, bias, scale, keys[1:], rng)
+    masks = np.unpackbits(bits, axis=1, count=num_regions)
+    subsets = [tuple(np.flatnonzero(mask).tolist()) for mask in masks]
+    ends = np.cumsum(counts[0]).tolist()
+    options = tuple(tuple(subsets[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return CoveringInstance(values, options, float(bias), float(scale), int(seed), estimates[0])
 
 
-def _covering_instance(
-    num_agents: int,
-    num_regions: int,
-    bias: float,
-    scale: float,
-    seed: int,
-    options_per_agent: int = 4,
-    *,
-    rng: np.random.Generator,
-    estimate_key: np.ndarray | None = None,
-) -> CoveringInstance:
-    """``sample_covering_instance``, drawn from ``rng``: a generator keyed
-    as ``philox_rng(seed, 0)`` is.  With ``estimate_key``, the key of
-    ``philox_rng(seed, 1)``, ``rng`` re-keyed to it draws the estimates."""
-    if num_agents < 1 or num_regions < 1 or options_per_agent < 1:
+def _option_draws(
+    num_agents: int, num_regions: int, keys: np.ndarray, rng: np.random.Generator, options: int = 4
+) -> tuple[np.ndarray, np.ndarray]:
+    """The options of one covering instance per Philox key of ``keys``, as
+    ``sample_covering_instance`` draws them from ``rng`` re-keyed to it: each
+    agent's option count, ``(instances, agents)``, and the region bits of
+    every option, packed eight regions a byte, one row per option in order."""
+    if num_agents < 1 or num_regions < 1 or options < 1:
         raise InvalidParametersError("agents, regions, and options must be positive")
-    if num_agents * options_per_agent * num_regions > MAX_PROFILES:
-        raise InvalidParametersError(
-            f"instance would draw more than {MAX_PROFILES} option bits"
-        )
-    draws: list[list[list[int]]] = []
-    while len(draws) < num_agents:
-        blocks = rng.integers(0, 2, size=(num_agents - len(draws), options_per_agent, num_regions))
-        draws += compress(blocks.tolist(), blocks.any(axis=(1, 2)).tolist())
+    if num_agents * options * num_regions > MAX_PROFILES:
+        raise InvalidParametersError(f"instance would draw more than {MAX_PROFILES} option bits")
+    shape = (num_agents, options, num_regions)
+    bits = np.empty((len(keys), *shape[:2], (num_regions + 7) // 8), dtype=np.uint8)
+    for drawn, key in zip(bits, keys):
+        blocks = rekeyed(rng, key).integers(0, 2, size=shape)
+        nonempty = blocks.any(axis=(1, 2))
+        while not nonempty.all():
+            # Drop the all-zero blocks and draw one more for each.
+            more = rng.integers(0, 2, size=(np.count_nonzero(~nonempty), *shape[1:]))
+            blocks = np.concatenate([blocks[nonempty], more])
+            nonempty = blocks.any(axis=(1, 2))
+        drawn[...] = np.packbits(blocks, axis=2)
     # A repeated option keeps its first occurrence, in draw order.
-    regions = range(num_regions)
-    options = _SortedOptions(
-        tuple(dict.fromkeys(tuple(compress(regions, row)) for row in masks)) for masks in draws
-    )
-    values = (1.0,) * num_regions
-    estimates = None
-    # ``CoveringInstance`` refuses a non-finite bias or scale before drawing.
-    if estimate_key is not None and math.isfinite(bias) and math.isfinite(scale):
-        estimates = _drawn_estimates(
-            values, float(bias), float(scale), num_agents, rekeyed(rng, estimate_key)
-        )
-    return CoveringInstance(
-        values=values,
-        options=options,
-        bias=float(bias),
-        scale=float(scale),
-        seed=int(seed),
-        estimates=estimates,
-    )
+    repeated = np.zeros(bits.shape[:3], dtype=bool)
+    for k in range(1, options):
+        repeated[:, :, k] = (bits[:, :, :k] == bits[:, :, k : k + 1]).all(axis=3).any(axis=2)
+    return options - repeated.sum(axis=2), bits[~repeated]
+
+
+def _estimate_draws(
+    num_agents: int, values: Sequence[float], bias: float, scale: float, keys: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Each agent's estimates of ``values`` for one covering instance per
+    Philox key of ``keys``, ``(values + bias) + (scale * values) * z`` with z
+    from ``rng`` re-keyed to the key, bit for bit what ``rng.normal`` draws;
+    refused unless the noise and the estimates are finite."""
+    _check_noise(bias, scale)
+    values = np.asarray(values)
+    z = np.empty((len(keys), num_agents, values.size))
+    for out, key in zip(z, keys):
+        rekeyed(rng, key).standard_normal(out=out)
+    estimates = np.add(values + bias, np.multiply(z, scale * values, out=z), out=z)
+    if not np.isfinite(estimates).all():
+        raise ValidationError("estimates must be finite")
+    return estimates
 
 
 def expected_covering_misalignment(bias: float, scale: float, num_regions: int) -> float:
@@ -626,17 +626,22 @@ class CoveringMonteCarloSpec:
             beta = self.num_regions * abs(self.bias)
         return covering_sinking_bound(self.num_agents, beta)
 
-    def draw(self, seed: int, keys: np.ndarray, rng: np.random.Generator) -> CoveringInstance:
-        return _covering_instance(
-            self.num_agents, self.num_regions, self.bias, self.scale, seed,
-            rng=rekeyed(rng, keys[0]), estimate_key=keys[1],
-        )
-
-    def profiles(self, instance: CoveringInstance) -> int:
-        return math.prod(map(len, instance.options))
-
-    def games(self, instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
-        return make_covering_games(instances)
+    def batches(
+        self, trials: range, master_seed: int, rng: np.random.Generator
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``trials`` in batches as ``batch_prices`` reads them, drawn, built
+        and checked as arrays: the option bits of up to ``_KEY_CHUNK`` trials
+        at a time, then each batch's estimates and tables."""
+        n, m, noise = self.num_agents, self.num_regions, (self.bias, self.scale)
+        for _, keys in _trial_keys(trials, master_seed, self.streams):
+            counts, bits = _option_draws(n, m, keys[:, 0], rng)
+            rows = [0] + np.cumsum(counts.sum(axis=1)).tolist()
+            for lo, hi in _batches([math.prod(row) for row in counts.tolist()]):
+                tables = np.ones((hi - lo, 1 + n, m))
+                tables[:, 1:] = _estimate_draws(n, np.ones(m), *noise, keys[lo:hi, 1], rng)
+                options, actions = bits[rows[lo] : rows[hi]], counts[lo:hi]
+                columns = _covering_tables(tables, options, actions, [m] * (hi - lo))
+                yield actions, columns[0], columns[1:]
 
 
 @dataclass(frozen=True)
@@ -651,14 +656,21 @@ class RadioMonteCarloSpec:
     def bound(self) -> float:
         return radio_sinking_bound(self.num_agents, self.alpha)
 
-    def draw(self, seed: int, keys: np.ndarray, rng: np.random.Generator) -> RadioInstance:
-        return _radio_instance(self.num_agents, self.alpha, seed, rng=rekeyed(rng, keys[0]))
-
-    def profiles(self, instance: RadioInstance) -> int:
-        return 1 << instance.num_agents
-
-    def games(self, instances: Sequence[RadioInstance]) -> list[NormalFormGame]:
-        return [make_radio_game(instance) for instance in instances]
+    def batches(
+        self, trials: range, master_seed: int, rng: np.random.Generator
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``trials`` in batches as ``batch_prices`` reads them, of games drawn
+        and built one by one; a batch ends when the next 2^n states would not fit."""
+        n, games = self.num_agents, []
+        for seeds, keys in _trial_keys(trials, master_seed, self.streams):
+            for seed, key in zip(seeds, keys):
+                instance = _radio_instance(n, self.alpha, seed, rng=rekeyed(rng, key[0]))
+                games.append(make_radio_game(instance))
+                if (len(games) + 1) << n > _BATCH_STATES:
+                    yield stacked_tables(games)
+                    games = []
+        if games:
+            yield stacked_tables(games)
 
 
 @dataclass(frozen=True)
@@ -696,50 +708,32 @@ _BATCH_STATES = 1 << 11
 _KEY_CHUNK = 1 << 10
 
 
-def _trial_draws(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
-    trials: range,
-    master_seed: int,
-    rng: np.random.Generator,
-) -> Iterator[CoveringInstance | RadioInstance]:
-    """The instance of each of ``trials``, from ``spec.draw`` of its seed,
-    the Philox keys of its ``spec.streams`` streams and ``rng``.
-
-    The trial seeds, and then the keys, come from one ``spawn_states`` pass
-    per ``_KEY_CHUNK`` trials."""
-    streams = np.arange(spec.streams, dtype=np.uint64)
+def _trial_keys(
+    trials: range, master_seed: int, streams: int
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The seeds of ``trials``, and the Philox keys of each trial's
+    ``streams`` streams, ``(trials, streams, 2)``, from one ``spawn_states``
+    pass each per ``_KEY_CHUNK`` trials."""
     for lo in range(trials.start, trials.stop, _KEY_CHUNK):
         chunk = np.arange(lo, min(lo + _KEY_CHUNK, trials.stop), dtype=np.uint64)
         seeds = spawn_states(master_seed, chunk, 2).view("<u8")[:, 0]
         keys = spawn_states(
-            np.repeat(seeds, len(streams)), np.tile(streams, len(seeds)), 4
-        ).view("<u8").reshape(len(seeds), len(streams), 2)
-        for seed, key in zip(seeds.tolist(), keys):
-            yield spec.draw(seed, key, rng)
+            np.repeat(seeds, streams), np.tile(np.arange(streams, dtype=np.uint64), len(seeds)), 4
+        )
+        yield seeds.tolist(), keys.view("<u8").reshape(len(seeds), streams, 2)
 
 
-def _batches(
-    spec: CoveringMonteCarloSpec | RadioMonteCarloSpec,
-    instances: Iterable[CoveringInstance | RadioInstance],
-) -> Iterator[list[CoveringInstance | RadioInstance]]:
-    """Consecutive trial instances in batches of at most ``_BATCH_STATES``
-    states."""
-    batch: list[CoveringInstance | RadioInstance] = []
-    states = 0
-    for instance in instances:
-        profiles = spec.profiles(instance)
-        if batch and states + profiles > _BATCH_STATES:
-            yield batch
-            batch, states = [], 0
-        batch.append(instance)
-        states += profiles
-    if batch:
-        yield batch
-
-
-def _batch_prices(games: list[NormalFormGame]) -> list[float]:
-    """Each game's price of sinking, from one ``batch_price_of_sinking``."""
-    return [pos for pos, _ in batch_price_of_sinking(games, mode=BEST)]
+def _batches(profiles: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Bounds ``(lo, hi)`` of consecutive trials of ``profiles`` states in batches of
+    at most ``_BATCH_STATES`` states; a larger trial is a batch of its own."""
+    lo = states = 0
+    for hi, count in enumerate(profiles):
+        if hi > lo and states + count > _BATCH_STATES:
+            yield lo, hi
+            lo, states = hi, 0
+        states += count
+    if profiles:
+        yield lo, len(profiles)
 
 
 def run_monte_carlo(
@@ -752,10 +746,15 @@ def run_monte_carlo(
     Deterministic for a fixed ``master_seed``: trial t draws from the Philox
     stream keyed by ``SeedSequence(master_seed, spawn_key=(t,))`` regardless
     of execution order.  Batches of consecutive trials are analyzed
-    together, with the results of analyzing each alone.  The first failing
-    trial aborts the run, and the error names it and the master seed:
-    ``trial t (master_seed=s): ...``.  After an error, drawing an instance or
-    building or analyzing a batch, the trials not yet priced run again as
+    together, with the results of analyzing each alone.  A covering batch
+    flows as arrays from the drawn option bits and estimates, through one
+    table build, kernel, sink search and solve, to the prices: no instance,
+    game or equilibrium object per trial, and each of their checks runs once
+    per batch.  The public samplers and builders wrap the same draws and
+    table build.  The first
+    failing trial aborts the run, and the error names it and the master
+    seed: ``trial t (master_seed=s): ...``.  After an error, in a draw, a
+    table build or an analysis, the trials not yet priced run again as
     batches of one, so the error names the first failing trial, as when
     every trial runs on its own.
     """
@@ -769,13 +768,13 @@ def run_monte_carlo(
     prices: list[float] = []
     rng = philox_generator()
     try:
-        for batch in _batches(spec, _trial_draws(spec, range(trials), master_seed, rng)):
-            prices += _batch_prices(spec.games(batch))
+        for batch in spec.batches(range(trials), master_seed, rng):
+            prices += batch_prices(*batch)
     except GameAnalysisError:
         for trial in range(len(prices), trials):
             try:
-                instances = list(_trial_draws(spec, range(trial, trial + 1), master_seed, rng))
-                prices += _batch_prices(spec.games(instances))
+                for batch in spec.batches(range(trial, trial + 1), master_seed, rng):
+                    prices += batch_prices(*batch)
             except GameAnalysisError as exc:
                 raise type(exc)(f"trial {trial} (master_seed={master_seed}): {exc}") from exc
     results = [

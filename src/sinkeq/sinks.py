@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import BEST, TransitionKernel, build_batch_kernel, build_kernel
-from .errors import InvalidParametersError, NumericalFailureError
+from .dynamics import BEST, TransitionKernel, build_kernel, stacked_kernel
+from .errors import DegenerateWelfareError, InvalidParametersError, NumericalFailureError
 from .game import NormalFormGame, positive_optimum
 
 STATIONARY_TOL = 1e-10
@@ -112,9 +112,9 @@ def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
 _SWEEP_BUDGET = 80
 
 
-def _absorbing_sinks(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]] | None, int]:
-    """The absorbing states as one-state sinks, in increasing order, when
-    every state reaches one of them, else None; with the sweeps spent.
+def _absorbing_sinks(kernel: TransitionKernel) -> tuple[np.ndarray | None, int]:
+    """The absorbing states, in increasing order, when every state reaches
+    one of them, else None; with the sweeps spent.
 
     An absorbing state's row holds only its self-loop.  Each sweep marks the
     states with an edge into a marked one.  A state of a multi-state sink
@@ -140,13 +140,13 @@ def _absorbing_sinks(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]] | 
         if grown == count:
             return None, sweeps
         count = grown
-    return [(s,) for s in absorbing.tolist()], sweeps
+    return absorbing, sweeps
 
 
-def _colored_sinks(kernel: TransitionKernel, budget: int) -> list[tuple[int, ...]] | None:
+def _colored_sinks(kernel: TransitionKernel, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Sinks by reachability coloring (Orzan 2004) with pointer jumping
-    (Shiloach & Vishkin 1982), in no particular order, or None once the
-    sweeps would exceed ``budget``.
+    (Shiloach & Vishkin 1982), as ``_sink_partition`` gives them, or None
+    once the sweeps would exceed ``budget``.
 
     Needs a kernel with no empty row, as every stochastic kernel is:
     ``np.maximum.reduceat`` reads an empty row as the next row's first entry.
@@ -196,16 +196,30 @@ def _colored_sinks(kernel: TransitionKernel, budget: int) -> list[tuple[int, ...
     escapes = np.zeros(kernel.num_states, dtype=bool)
     escapes[color[reached & leaves]] = True
     members = np.flatnonzero(reached & ~escapes[color])
-    groups = color[members]
-    order = np.argsort(groups, kind="stable")
-    members = members[order]
-    cuts = (np.flatnonzero(np.diff(groups[order])) + 1).tolist()
-    members = members.tolist()
-    return [tuple(members[a:b]) for a, b in zip([0] + cuts, cuts + [len(members)])]
+    # Members are increasing, so each sink's first one is its smallest; a
+    # stable sort by the position of that first member keeps them in order.
+    _, firsts, group = np.unique(color[members], return_index=True, return_inverse=True)
+    order = np.argsort(firsts[group], kind="stable")
+    return members[order], np.bincount(group)[np.argsort(firsts)]
+
+
+def _sink_partition(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """``sink_components`` as arrays: every sink's states laid end to end,
+    sink after sink, and the sinks' sizes."""
+    absorbing, spent = _absorbing_sinks(kernel)
+    if absorbing is not None:
+        return absorbing, np.ones(absorbing.size, dtype=np.int64)
+    found = _colored_sinks(kernel, _SWEEP_BUDGET - spent)
+    if found is None:
+        # Sinks are disjoint, so tuples sort by their smallest state.
+        sinks = sorted(_tarjan_sinks(kernel))
+        found = np.fromiter(chain.from_iterable(sinks), np.int64), np.array(list(map(len, sinks)))
+    return found
 
 
 def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
-    """SCCs with no outgoing transition, ordered by their smallest state.
+    """SCCs with no outgoing transition, ordered by their smallest state,
+    each in increasing order.
 
     First trims the absorbing states, whose row holds only their self-loop,
     and marks every state that reaches one in numpy sweeps over the CSR
@@ -214,14 +228,13 @@ def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     marking and the coloring share ``_SWEEP_BUDGET`` sweeps; a kernel that
     needs more goes to ``_tarjan`` instead.
     """
-    sinks, spent = _absorbing_sinks(kernel)
-    if sinks is not None:
-        return sinks
-    sinks = _colored_sinks(kernel, _SWEEP_BUDGET - spent)
-    if sinks is None:
-        sinks = _tarjan_sinks(kernel)
-    sinks.sort(key=lambda comp: comp[0])
-    return sinks
+    return _sink_tuples(*_sink_partition(kernel))
+
+
+def _sink_tuples(members: np.ndarray, sizes: np.ndarray) -> list[tuple[int, ...]]:
+    """``_sink_partition``'s arrays as one tuple of states per sink."""
+    members, ends = members.tolist(), np.cumsum(sizes).tolist()
+    return [tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 # The chain on supports laid end to end, on local indices, row after row:
@@ -401,6 +414,15 @@ def stationary_distributions(
     if len(supports) == 0:
         return []
     rows, sizes = _support_rows(kernel, supports)
+    pi = _stationary(kernel, rows, sizes)
+    pi.setflags(write=False)
+    return np.split(pi, np.cumsum(sizes)[:-1])
+
+
+def _stationary(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``stationary_distributions`` of supports laid end to end, ``sizes``
+    states each in increasing order, as one array laid out alike; the
+    states are taken as distinct states of the kernel."""
     triples = _support_triples(kernel, rows, sizes)
     multi = sizes > 1
     d = _diagonal(triples, rows.size)
@@ -427,50 +449,29 @@ def stationary_distributions(
         )
     if np.any(multi & (np.minimum.reduceat(pi, starts) <= 0.0)):
         raise NumericalFailureError("stationary distribution is not strictly positive")
-    pi.setflags(write=False)
-    return [pi[a:b] for a, b in spans]
+    return pi
 
 
-def batch_sink_equilibria(
-    games: Sequence[NormalFormGame], mode: str = BEST, tie_tol: float = 0.0
-) -> list[list[SinkEquilibrium]]:
-    """``sink_equilibria`` of each of one or more games with one player
-    count, found together: the games share one block-diagonal kernel,
-    which takes one sink search and one stationary solve.  Each game gets
-    exactly what it gets alone."""
-    if len(games) == 1:
-        # One game goes through ``build_kernel``, so a per-function
-        # profile of a single-game analysis names the kernel build.
-        kernel = build_kernel(games[0], mode=mode, tie_tol=tie_tol)
-    else:
-        kernel = build_batch_kernel(games, mode=mode, tie_tol=tie_tol)
-    sinks = sink_components(kernel)
-    pis = stationary_distributions(kernel, sinks)
-    # Every sink's states, sink after sink.  Sinks come ordered by their
-    # smallest state, so game by game.
-    sizes = [len(support) for support in sinks]
-    states = np.fromiter(chain.from_iterable(sinks), dtype=np.int64, count=sum(sizes))
+def _solved_sinks(kernel: TransitionKernel, welfare: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_sink_partition``, the stationary vectors laid out alike, and each
+    sink's expected welfare: its ``math.fsum`` clamped to the sink's welfare
+    range, as pi may sum to one only up to rounding (so a one-state sink's
+    is its state's welfare)."""
+    members, sizes = _sink_partition(kernel)
+    pi = _stationary(kernel, members, sizes)
+    values = welfare[members]
     ends = np.cumsum(sizes)
-    starts = ends - sizes
-    offsets = np.cumsum([0] + [game.num_profiles for game in games])
-    game_of = np.searchsorted(offsets, states[starts], side="right") - 1
-    local = (states - np.repeat(offsets[game_of], sizes)).tolist()
-    welfare = np.concatenate([game.welfare for game in games])[states]
-    terms = (np.concatenate(pis) * welfare).tolist()
-    lows = np.minimum.reduceat(welfare, starts).tolist()
-    highs = np.maximum.reduceat(welfare, starts).tolist()
-    out: list[list[SinkEquilibrium]] = [[] for _ in games]
-    spans = zip(game_of.tolist(), starts.tolist(), ends.tolist())
-    for j, (i, a, b) in enumerate(spans):
-        # A convex combination lies within its terms; pi may sum to one
-        # only up to rounding.
-        expected = min(max(math.fsum(terms[a:b]), lows[j]), highs[j])
-        out[i].append(
-            SinkEquilibrium(
-                support=tuple(local[a:b]), probabilities=pis[j], expected_welfare=expected
-            )
-        )
-    return out
+    expected = values[ends - sizes]
+    multi = np.flatnonzero(sizes > 1).tolist()
+    if multi:
+        terms = (pi * values).tolist()
+        lows = np.minimum.reduceat(values, ends - sizes).tolist()
+        highs = np.maximum.reduceat(values, ends - sizes).tolist()
+        ends = ends.tolist()
+        for j in multi:
+            total = math.fsum(terms[ends[j] - sizes[j] : ends[j]])
+            expected[j] = min(max(total, lows[j]), highs[j])
+    return members, sizes, pi, expected
 
 
 def sink_equilibria(
@@ -478,19 +479,11 @@ def sink_equilibria(
 ) -> list[SinkEquilibrium]:
     """One equilibrium per sink of the chosen response chain, ordered by the
     smallest support state."""
-    return batch_sink_equilibria([game], mode=mode, tie_tol=tie_tol)[0]
-
-
-def batch_price_of_sinking(
-    games: Sequence[NormalFormGame], mode: str = BEST, tie_tol: float = 0.0
-) -> list[tuple[float, SinkEquilibrium]]:
-    """``price_of_sinking`` of each game, from ``batch_sink_equilibria``."""
-    optima = [positive_optimum(game)[1] for game in games]
-    out = []
-    for wopt, equilibria in zip(optima, batch_sink_equilibria(games, mode, tie_tol)):
-        worst = min(equilibria, key=lambda eq: eq.expected_welfare)
-        out.append((worst.expected_welfare / wopt, worst))
-    return out
+    kernel = build_kernel(game, mode=mode, tie_tol=tie_tol)
+    members, sizes, pi, expected = _solved_sinks(kernel, game.welfare)
+    pi.setflags(write=False)
+    sinks = zip(_sink_tuples(members, sizes), np.split(pi, np.cumsum(sizes)[:-1]))
+    return [SinkEquilibrium(*sink, value) for sink, value in zip(sinks, expected.tolist())]
 
 
 def price_of_sinking(
@@ -498,4 +491,23 @@ def price_of_sinking(
 ) -> tuple[float, SinkEquilibrium]:
     """Worst sink expected welfare over the optimal welfare, with the
     minimizing equilibrium (the first of equal minima)."""
-    return batch_price_of_sinking([game], mode=mode, tie_tol=tie_tol)[0]
+    _, wopt = positive_optimum(game)
+    worst = min(sink_equilibria(game, mode, tie_tol), key=lambda eq: eq.expected_welfare)
+    return worst.expected_welfare / wopt, worst
+
+
+def batch_prices(counts: np.ndarray, welfare: np.ndarray, utilities: np.ndarray) -> list[float]:
+    """Best-response ``price_of_sinking`` of each of one or more games, given
+    by their action counts, one row per game, and their checked tables laid
+    end to end: one kernel, sink search and solve for all, exact for each."""
+    sizes = counts.prod(axis=1)
+    ends = np.cumsum(sizes)
+    optima = np.maximum.reduceat(welfare, ends - sizes)
+    if not np.all(optima > 0.0):
+        raise DegenerateWelfareError("optimal welfare is zero")
+    members, sinks, _, expected = _solved_sinks(stacked_kernel(counts, utilities), welfare)
+    # Sinks come ordered by their smallest state, so game by game, and
+    # every game has one.
+    game = np.searchsorted(ends, members[np.cumsum(sinks) - sinks], side="right")
+    worst = np.minimum.reduceat(expected, np.flatnonzero(np.diff(game, prepend=-1)))
+    return (worst / optima).tolist()

@@ -118,12 +118,19 @@ def check_smoothness(
     game: NormalFormGame, lam: float, mu: float, common_interest: bool = False
 ) -> SmoothnessCertificate:
     """Evaluate the smoothness inequality at every state for fixed (lam, mu)."""
+    optimum, _ = optimal_profile(game)
+    return _certificate(game, lam, mu, optimum, _deviation_totals(game, optimum, common_interest))
+
+
+def _certificate(
+    game: NormalFormGame, lam: float, mu: float, optimum: JointAction, deviation: np.ndarray
+) -> SmoothnessCertificate:
+    """``check_smoothness`` from the deviation totals at ``optimum``."""
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise InvalidParametersError("lam and mu must be finite")
     if not 0.0 <= lam <= mu:
         raise InvalidParametersError(f"need mu >= lam >= 0, got lam={lam}, mu={mu}")
-    optimum, wopt = optimal_profile(game)
-    deviation = _deviation_totals(game, optimum, common_interest)
+    wopt = float(game.welfare[optimum.flat])
     slack = mu * game.welfare - lam * wopt - deviation
     slack.setflags(write=False)
     # lam * W(opt) is at most mu * W(opt), the largest mu * W(a).
@@ -134,7 +141,15 @@ def check_smoothness(
 def best_smoothness(
     game: NormalFormGame, common_interest: bool = False
 ) -> tuple[float, float]:
-    """Certificate maximizing lam/mu, solved exactly.
+    """The pair of ``best_certificate``."""
+    return best_certificate(game, common_interest)[:2]
+
+
+def best_certificate(
+    game: NormalFormGame, common_interest: bool = False
+) -> tuple[float, float, SmoothnessCertificate]:
+    """Certificate maximizing lam/mu, solved exactly, with the
+    ``check_smoothness`` of the pair, which reads the solve's deviation totals.
 
     With ``t = 1/mu`` the best ratio is the maximum over ``t > 0`` of the
     lower envelope ``min_a (W(a) - t D(a)) / W(opt)``, at most 1 since the
@@ -203,7 +218,7 @@ def best_smoothness(
             raise NumericalFailureError(
                 f"smoothness certificate overflows the float range at ratio {float(rho)!r}"
             )
-    return lam, mu
+    return lam, mu, _certificate(game, lam, mu, optimum, deviation)
 
 
 def additive_sinking_bound(lam_c: float, mu_c: float, num_players: int, beta: float) -> float:

@@ -779,16 +779,45 @@ def per_trial_monte_carlo(spec, trials, master_seed):
 
 
 def count_batches(monkeypatch):
-    """The number of games in each batch ``run_monte_carlo`` analyzes."""
-    sizes = []
-    analyze = generators.batch_price_of_sinking
+    """The action counts of the games of each batch ``run_monte_carlo``
+    analyzes, one row per game."""
+    batches = []
+    analyze = generators.batch_prices
 
-    def counted(games, **kwargs):
-        sizes.append(len(games))
-        return analyze(games, **kwargs)
+    def counted(counts, welfare, utilities):
+        batches.append(counts)
+        return analyze(counts, welfare, utilities)
 
-    monkeypatch.setattr(generators, "batch_price_of_sinking", counted)
-    return sizes
+    monkeypatch.setattr(generators, "batch_prices", counted)
+    return batches
+
+
+# Covering specs whose trials draw all-zero blocks again (one region), and
+# whose batches mix games of different action counts (two regions, where
+# an agent's four options often repeat).
+REDRAWN = CoveringMonteCarloSpec(3, 1, -0.5, 1.0)
+MIXED = CoveringMonteCarloSpec(3, 2, 0.3, 0.5)
+
+
+def patch_option_draws(monkeypatch, failures):
+    """Make the option draws of the trial seeds in ``failures`` fail: refused
+    (``"draw"``) or with every option empty (``"analysis"``), so that the
+    optimal welfare is zero.  Both the run and the per-trial loop draw
+    every trial's options through ``_option_draws``."""
+    draw = generators._option_draws
+    keys = {seed: stream_key(seed, 0) for seed in failures}
+
+    def patched(num_agents, num_regions, trial_keys, rng, *args):
+        counts, bits = draw(num_agents, num_regions, trial_keys, rng, *args)
+        rows = np.cumsum([0, *counts.sum(axis=1)])
+        for seed, key in keys.items():
+            for t in np.flatnonzero((trial_keys == key).all(axis=1)):
+                if failures[seed] == "draw":
+                    raise ValidationError("patched failure")
+                bits[rows[t] : rows[t + 1]] = 0
+        return counts, bits
+
+    monkeypatch.setattr(generators, "_option_draws", patched)
 
 
 class TestBatchedMonteCarlo:
@@ -800,48 +829,53 @@ class TestBatchedMonteCarlo:
             (RadioMonteCarloSpec(9, 0.8), 7, 3, None),
             (RadioMonteCarloSpec(12, 0.8), 2, 0, None),
             (RadioMonteCarloSpec(3, 0.7), 40, 1, 50),
+            (CoveringMonteCarloSpec(3, 9, 0.2, 0.4), 30, 1, 300),
+            (CoveringMonteCarloSpec(3, 70, 0.1, 0.3), 12, 4, 200),
+            (REDRAWN, 20, 2, 20),
+            (MIXED, 40, 2, 60),
         ],
-        ids=["covering", "covering-mixed-sizes", "radio-512", "radio-above-budget", "radio-small"],
+        ids=[
+            "covering", "covering-mixed-sizes", "radio-512", "radio-above-budget", "radio-small",
+            "covering-two-byte-codes", "covering-codes-past-one-word", "covering-redrawn-blocks",
+            "covering-mixed-action-counts",
+        ],
     )
     def test_equals_the_per_trial_loop(self, monkeypatch, spec, trials, seed, budget):
         if budget is not None:
             monkeypatch.setattr(generators, "_BATCH_STATES", budget)
         batches = count_batches(monkeypatch)
         assert run_monte_carlo(spec, trials, seed) == per_trial_monte_carlo(spec, trials, seed)
-        assert sum(batches) == trials
+        sizes = [len(counts) for counts in batches]
+        assert sum(sizes) == trials
         if spec != RadioMonteCarloSpec(12, 0.8):
-            assert len(batches) > 1 and max(batches) > 1
+            assert len(sizes) > 1 and max(sizes) > 1
+        if spec == REDRAWN:
+            redraws = [reference_covering_draws(3, 1, trial_seed(seed, t), 4)[1] for t in range(trials)]
+            assert any(redraws)
+        if spec == MIXED:
+            assert any(len(np.unique(counts, axis=0)) > 1 for counts in batches)
 
     @pytest.mark.parametrize("failing", [0, 9, 10, 17])
     @pytest.mark.parametrize("where", ["draw", "analysis", "build"])
     def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
         # Trials hold at most 256 states, so trials 9 and 10 sit inside
         # the second or third batch of 2,048 states.  Both runs draw every
-        # instance through ``_covering_instance`` and build every game
-        # through ``make_covering_games``, so the failures go there.
+        # trial's options through ``_option_draws`` and build every game's
+        # tables through ``_covering_tables``, so the failures go there.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
         bad_seed = trial_seed(7, failing)
-        draw = generators._covering_instance
-        build = generators.make_covering_games
+        bad_estimates = sample_covering_instance(4, 8, 0.01, 0.01, bad_seed).estimates
+        build = generators._covering_tables
 
-        def patched_draw(*args, **kwargs):
-            instance = draw(*args, **kwargs)
-            if instance.seed != bad_seed:
-                return instance
-            if where == "draw":
+        def patched_build(tables, *args):
+            if any(np.array_equal(table[1:], bad_estimates) for table in tables):
                 raise ValidationError("patched failure")
-            # No region is worth anything, so the optimal welfare is zero.
-            return dataclasses.replace(instance, values=(0.0,) * instance.num_regions)
-
-        def patched_build(instances):
-            if any(instance.seed == bad_seed for instance in instances):
-                raise ValidationError("patched failure")
-            return build(instances)
+            return build(tables, *args)
 
         if where == "build":
-            monkeypatch.setattr(generators, "make_covering_games", patched_build)
+            monkeypatch.setattr(generators, "_covering_tables", patched_build)
         else:
-            monkeypatch.setattr(generators, "_covering_instance", patched_draw)
+            patch_option_draws(monkeypatch, {bad_seed: where})
         with pytest.raises(GameAnalysisError) as loop:
             per_trial_monte_carlo(spec, 20, 7)
         with pytest.raises(GameAnalysisError) as batched:
@@ -852,25 +886,57 @@ class TestBatchedMonteCarlo:
         if where == "analysis":
             assert type(loop.value) is DegenerateWelfareError
 
+    def test_an_overflowing_trial_inside_a_batch_reports_as_in_the_loop(self, monkeypatch):
+        # Trial 9 sits inside a batch of 2,048 states.  Its estimates are
+        # finite, but any two of them sum to inf.
+        draw = generators._estimate_draws
+        bad_key = stream_key(trial_seed(7, 9), 1)
+
+        def patched(*args):
+            estimates = draw(*args)
+            estimates[(args[4] == bad_key).all(axis=1)] = 1e308
+            return estimates
+
+        monkeypatch.setattr(generators, "_estimate_draws", patched)
+        batches = count_batches(monkeypatch)
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+        with np.errstate(over="ignore"), pytest.raises(GameAnalysisError) as loop:
+            per_trial_monte_carlo(spec, 20, 7)
+        with np.errstate(over="ignore"), pytest.raises(GameAnalysisError) as batched:
+            run_monte_carlo(spec, 20, 7)
+        message = "trial 9 (master_seed=7): utility entries must be finite"
+        assert type(batched.value) is type(loop.value) is ValidationError
+        assert str(batched.value) == str(loop.value) == message
+        # Trials 0 to 7 fill the first batch; trial 8 shares the second with
+        # trial 9, and is priced again alone before trial 9 fails alone.
+        assert [len(counts) for counts in batches] == [8, 1]
+
+    def test_a_covering_run_builds_no_per_trial_objects(self, monkeypatch):
+        built = []
+        for cls, method in (
+            (NormalFormGame, "__post_init__"),
+            (CoveringInstance, "__post_init__"),
+            (sinks.SinkEquilibrium, "__init__"),
+        ):
+            def counted(self, *args, _original=getattr(cls, method), _cls=cls, **kwargs):
+                built.append(_cls)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+        summary = run_monte_carlo(spec, 50, 5)
+        assert built == []
+        assert per_trial_monte_carlo(spec, 50, 5) == summary
+        assert {NormalFormGame, CoveringInstance, sinks.SinkEquilibrium} <= set(built)
+
     @pytest.mark.parametrize("degenerate, refused", [(9, 10), (10, 9), (3, 4), (9, 17)])
     def test_the_earlier_of_two_failing_trials_reports(self, monkeypatch, degenerate, refused):
         # One trial has no welfare to sink and another's draw is refused.  A
         # batch is drawn whole before it is analyzed, so in (9, 10) trial
         # 10's draw fails first, yet trial 9 is the one to report.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
-        trials = {trial_seed(7, t): t for t in (degenerate, refused)}
-        draw = generators._covering_instance
-
-        def patched_draw(*args, **kwargs):
-            instance = draw(*args, **kwargs)
-            trial = trials.get(instance.seed)
-            if trial == refused:
-                raise ValidationError("patched failure")
-            if trial == degenerate:
-                return dataclasses.replace(instance, values=(0.0,) * instance.num_regions)
-            return instance
-
-        monkeypatch.setattr(generators, "_covering_instance", patched_draw)
+        failures = {trial_seed(7, degenerate): "analysis", trial_seed(7, refused): "draw"}
+        patch_option_draws(monkeypatch, failures)
         with pytest.raises(GameAnalysisError) as loop:
             per_trial_monte_carlo(spec, 20, 7)
         with pytest.raises(GameAnalysisError) as batched:
@@ -1011,17 +1077,21 @@ class TestRekeyedDraws:
     def test_covering_options_with_redrawn_blocks(self):
         # A block of four bits is all zero one time in 16 and drawn again.
         # Every estimate of bias -1 and scale -0.0 is a zero, whose sign
-        # must be the one scale 0 gives it.
+        # must be the one scale 0 gives it.  The trials are drawn together.
         rng = streams.philox_generator()
-        redrawn = 0
-        noise = [(0.0, 0.0), (0.3, 0.2), (-1.0, -0.0)]
-        for seed, (bias, scale) in itertools.product(range(40), noise):
-            rekeyed = streams.rekeyed(rng, stream_key(seed, 0))
-            instance = generators._covering_instance(
-                2, 1, bias, scale, seed, 4, rng=rekeyed, estimate_key=stream_key(seed, 1)
+        seeds = range(40)
+        keys = np.array([[stream_key(seed, stream) for stream in (0, 1)] for seed in seeds])
+        counts, bits = generators._option_draws(2, 1, keys[:, 0], rng)
+        masks = iter(np.unpackbits(bits, axis=1, count=1).tolist())
+        for seed, row in zip(seeds, counts.tolist()):
+            drawn = tuple(
+                tuple(tuple(np.flatnonzero(next(masks)).tolist()) for _ in range(c)) for c in row
             )
-            sampled = sample_covering_instance(2, 1, bias, scale, seed, 4)
-            assert instance == sampled
-            assert instance.estimates.tobytes() == sampled.estimates.tobytes()
-            redrawn += reference_covering_draws(2, 1, seed, 4)[1] > 0
-        assert redrawn > 0
+            assert drawn == reference_covering_options(2, 1, seed)
+        assert any(reference_covering_draws(2, 1, seed, 4)[1] for seed in seeds)
+        for bias, scale in [(0.0, 0.0), (0.3, 0.2), (-1.0, -0.0)]:
+            estimates = generators._estimate_draws(2, 1, bias, scale, keys[:, 1], rng)
+            for seed, drawn in zip(seeds, estimates):
+                sampled = sample_covering_instance(2, 1, bias, scale, seed, 4)
+                assert drawn.tobytes() == sampled.estimates.tobytes()
+                assert drawn.tobytes() == reference_covering_estimates(sampled).tobytes()

@@ -17,7 +17,6 @@ from sinkeq.dynamics import (
 )
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
-    CoveringMonteCarloSpec,
     _batches,
     make_covering_game,
     make_covering_games,
@@ -27,7 +26,7 @@ from sinkeq.generators import (
     sample_radio_instance,
     sample_random_game,
 )
-from sinkeq.sinks import _tarjan, sink_components
+from sinkeq.sinks import _tarjan, sink_components, stationary_distributions
 
 from reference_kernels import row, stack_kernels
 from samplers import sample_action_counts, trial_seed
@@ -134,8 +133,11 @@ def assert_every_path_finds(kernel, expected):
         # all single states.
         patch.setattr(sinks, "_SWEEP_BUDGET", 10**6)
         trimmed, _ = sinks._absorbing_sinks(kernel)
-        assert trimmed == (expected if all(len(c) == 1 for c in expected) else None)
-    assert sorted(sinks._colored_sinks(kernel, 10**6)) == expected
+        if all(len(c) == 1 for c in expected):
+            assert [(s,) for s in trimmed.tolist()] == expected
+        else:
+            assert trimmed is None
+    assert sinks._sink_tuples(*sinks._colored_sinks(kernel, 10**6)) == expected
     with pytest.MonkeyPatch.context() as patch:
         # With no sweeps to spend, a kernel that needs a sweep takes the
         # Tarjan fallback; one whose states are all absorbing needs none.
@@ -317,8 +319,9 @@ def benchmark_pool_kernels():
                 yield build_kernel(game, BEST)
             # The block-diagonal kernels that run_monte_carlo searches,
             # built as it builds them.
-            for batch in _batches(CoveringMonteCarloSpec(4, 8, 0.01, 0.01), instances):
-                yield build_batch_kernel(make_covering_games(batch), BEST)
+            games = make_covering_games(instances)
+            for lo, hi in _batches([game.num_profiles for game in games]):
+                yield build_batch_kernel(games[lo:hi], BEST)
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):
@@ -335,6 +338,43 @@ def test_benchmark_pools_take_no_fallback(monkeypatch):
     for kernel in benchmark_pool_kernels():
         sink_components(kernel)
     assert calls == []
+
+
+def partition_kernels():
+    """The staircases, the covering batches that run_monte_carlo searches
+    on two benchmark master seeds, and the corpus games' best- and
+    better-response kernels: the marking, coloring and Tarjan paths."""
+    yield "staircase-64", build_kernel(staircase_game(64), BEST)
+    yield "staircase-8", build_kernel(staircase_game(8), BEST)
+    for master in (5, 6):
+        instances = [
+            sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(master, trial))
+            for trial in range(50)
+        ]
+        games = make_covering_games(instances)
+        for lo, hi in _batches([game.num_profiles for game in games]):
+            yield f"covering-{master}-{lo}", build_batch_kernel(games[lo:hi], BEST)
+    for i, game in enumerate(GAMES):
+        for mode in (BEST, BETTER):
+            yield f"corpus-{i}-{mode}", build_kernel(game, mode)
+
+
+def test_sink_partition_arrays():
+    for name, kernel in partition_kernels():
+        members, sizes = sinks._sink_partition(kernel)
+        assert members.dtype == sizes.dtype == np.int64, name
+        found = sinks._sink_tuples(members, sizes)
+        assert found == sink_components(kernel) == sorted(sinks._tarjan_sinks(kernel)), name
+        # The stationary solve of the search's arrays, which skips the
+        # checks of given supports, against the public solve of the same
+        # supports, and of each alone.
+        pi = sinks._stationary(kernel, members, sizes)
+        solved = stationary_distributions(kernel, found)
+        assert pi.tobytes() == np.concatenate(solved).tobytes(), name
+        for support, vector in zip(found, solved):
+            if len(support) > 1:
+                alone = stationary_distributions(kernel, [support])[0]
+                assert vector.tobytes() == alone.tobytes(), name
 
 
 @st.composite
