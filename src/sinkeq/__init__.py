@@ -4,7 +4,6 @@ from .dynamics import (
     BEST,
     BETTER,
     TransitionKernel,
-    build_batch_kernel,
     build_kernel,
     is_singleton_br,
 )
@@ -42,7 +41,6 @@ from .generators import (
     covering_sinking_bound,
     expected_covering_misalignment,
     make_covering_game,
-    make_covering_games,
     make_radio_game,
     philox_rng,
     radio_sinking_bound,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidParametersError
-from .game import NormalFormGame, stacked_tables
+from .game import NormalFormGame
 
 BEST = "best"
 BETTER = "better"
@@ -63,41 +63,25 @@ def build_kernel(
 
     ``mode`` selects best-response (argmax within ``tie_tol``) or
     better-response (weak self-improvement) sets.  This is
-    ``build_batch_kernel`` on one game.
-    """
-    return build_batch_kernel([game], mode, tie_tol)
-
-
-def build_batch_kernel(
-    games: Sequence[NormalFormGame],
-    mode: str = BEST,
-    tie_tol: float = 0.0,
-) -> TransitionKernel:
-    """Block-diagonal kernel of one or more games with one player count:
-    each game's states follow those of the games before it, each block is
-    the game's ``build_kernel``, bit for bit, and no edge joins two blocks.
-    This is ``stacked_kernel`` of the games' action counts and utilities.
+    ``stacked_kernel`` on one game.
     """
     if mode not in (BEST, BETTER):
         raise InvalidParametersError(f"mode must be '{BEST}' or '{BETTER}'")
     _check_tie_tol(tie_tol)
-    if not games:
-        raise InvalidParametersError("need at least one game")
-    n = games[0].num_players
-    if any(game.num_players != n for game in games):
-        raise InvalidParametersError("games in one batch must have the same number of players")
-    counts, _, utilities = stacked_tables(games)
-    return stacked_kernel(counts, utilities, mode, tie_tol)
+    return stacked_kernel(np.array([game.action_counts]), game.utilities, mode, tie_tol)
 
 
 def stacked_kernel(
     counts: np.ndarray, utilities: np.ndarray, mode: str = BEST, tie_tol: float = 0.0
 ) -> TransitionKernel:
-    """``build_batch_kernel`` of games given by their action counts, one row
-    per game, and their utility tables laid end to end, with a checked mode.
-    One pass per player covers every game, with its stride and action count
-    per state; where action counts differ, shorter fibers are padded and the
-    padded slots masked out.  One sort of packed int64 keys orders the edges."""
+    """Block-diagonal kernel of games with one player count, given by their
+    action counts, one row per game, and their utility tables laid end to
+    end, with a checked mode: each game's states follow those of the games
+    before it, each block is the game's ``build_kernel``, bit for bit, and no
+    edge joins two blocks.  One pass per player covers every game, with its
+    stride and action count per state; where action counts differ, shorter
+    fibers are padded and the padded slots masked out.  One sort of packed
+    int64 keys orders the edges."""
     sizes = counts.prod(axis=1)
     # Exact: each entry of the running product is a multiple of the count.
     strides = np.cumprod(counts, axis=1) // counts

@@ -196,7 +196,7 @@ def _check_noise(bias: float, scale: float) -> None:
         raise ValidationError("scale must be nonnegative")
 
 
-# Most table entries ``make_covering_games`` gathers into one block for its
+# Most table entries ``_covering_tables`` gathers into one block for its
 # union sums, which bounds the memory a block takes (8 MB).
 _SUM_BLOCK = 1 << 20
 
@@ -211,50 +211,26 @@ def _words(rows: np.ndarray, width: int) -> np.ndarray:
 
 def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
     """Welfare sums true values over the union of chosen subsets; each agent's
-    utility sums its own estimates over the same union.
-
-    This is ``make_covering_games`` on one instance.
-    """
-    return make_covering_games([instance])[0]
-
-
-def make_covering_games(instances: Sequence[CoveringInstance]) -> list[NormalFormGame]:
-    """``make_covering_game`` of each of one or more instances with one
-    agent count, built together by ``_covering_tables``."""
-    if not instances:
-        raise InvalidParametersError("need at least one covering instance")
-    n = instances[0].num_agents
-    if any(instance.num_agents != n for instance in instances):
-        raise InvalidParametersError(
-            "covering instances in one batch must have the same number of agents"
-        )
-    counts = np.array([[len(opts) for opts in instance.options] for instance in instances])
-    regions = [instance.num_regions for instance in instances]
-    # Welfare values, then each agent's estimates, per game; zero past the
-    # game's regions, which no union covers.
-    tables = np.zeros((len(instances), 1 + n, max(regions)))
-    for table, instance in zip(tables, instances):
-        table[0, : instance.num_regions] = instance.values
-        table[1:, : instance.num_regions] = instance.estimates
-    options = list(chain.from_iterable(chain.from_iterable(i.options for i in instances)))
+    utility sums its own estimates over the same union."""
+    counts = np.array([[len(opts) for opts in instance.options]])
+    options = list(chain.from_iterable(instance.options))
     lengths = np.fromiter(map(len, options), dtype=np.int64, count=len(options))
-    masks = np.zeros((len(options), max(regions)), dtype=bool)
+    masks = np.zeros((len(options), instance.num_regions), dtype=bool)
     masks[
         np.repeat(np.arange(len(options)), lengths),
         np.fromiter(chain.from_iterable(options), dtype=np.int64, count=int(lengths.sum())),
     ] = True
-    columns = _covering_tables(tables, np.packbits(masks, axis=1), counts, regions)
-    tables = np.split(columns, np.cumsum(counts.prod(axis=1))[:-1], axis=1)
-    return [NormalFormGame(tuple(c), t[0], t[1:]) for c, t in zip(counts.tolist(), tables)]
+    tables = np.vstack([instance.values, instance.estimates])[None]
+    columns = _covering_tables(tables, np.packbits(masks, axis=1), counts)
+    return NormalFormGame(tuple(counts[0].tolist()), columns[0], columns[1:])
 
 
-def _covering_tables(
-    tables: np.ndarray, bits: np.ndarray, counts: np.ndarray, regions: Sequence[int]
-) -> np.ndarray:
-    """Welfare and utility tables of covering games laid end to end, one row
-    each, checked as ``NormalFormGame`` checks them.  Game g has ``regions[g]``
-    regions, ``counts[g, i]`` options for agent i, and ``tables[g]`` of its
-    values, then each agent's estimates; ``bits`` packs every option's regions.
+def _covering_tables(tables: np.ndarray, bits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Welfare and utility tables of covering games over ``m`` regions laid
+    end to end, one row each, checked as ``NormalFormGame`` checks them.
+    Game g has ``counts[g, i]`` options for agent i, and ``tables[g]``, of
+    shape ``(1 + agents, m)``, of its values, then each agent's estimates;
+    ``bits`` packs every option's regions.
 
     Profiles share few distinct unions, so each distinct union of a game is
     summed once and scattered back to its profiles.  Unions of k regions
@@ -264,15 +240,15 @@ def _covering_tables(
     over a table of masks, or over a block whose last axis is strided, adds
     in another order and moves the last bits.
     """
+    (games, n), m = counts.shape, tables.shape[2]
     totals = []
-    for row, m in zip(counts.tolist(), regions):
+    for row in counts.tolist():
         total = _checked_profiles(math.prod(row))
         if total * ((m + 7) // 8) > MAX_PROFILES:
             raise InvalidParametersError(
                 f"game would need more than {MAX_PROFILES} bytes of region bits"
             )
         totals.append(total)
-    (games, n), m = counts.shape, tables.shape[2]
     firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     # Each profile's key: its game, in as few bytes as number the games
     # (none for one game), then the region bits of its union, read as one
@@ -288,9 +264,12 @@ def _covering_tables(
     ids[:, :prefix] = np.arange(games, dtype=">u8")[:, None].view(np.uint8)[:, 8 - prefix :]
     keys = np.repeat(_words(ids, width), totals, axis=0)
     unions = _words(bits, width)
+    # Each agent's option count and first option row, at every profile.
+    radix = np.repeat(counts.T, totals, axis=1)
+    offset = np.repeat(firsts.T, totals, axis=1)
     for i in range(n):
-        rest, digit = np.divmod(rest, counts[game, i])
-        keys |= unions[firsts[game, i] + digit]
+        rest, digit = np.divmod(rest, radix[i])
+        keys |= unions[offset[i] + digit]
     # Sort the keys on their words, most significant first, and number the
     # distinct ones in that order.
     order = np.lexsort(keys.T[::-1])
@@ -316,14 +295,16 @@ def _covering_tables(
     layers = np.arange(1 + n)[:, None]
     sums = np.empty((len(distinct), 1 + n))
     row = at = 0
-    for k, count in enumerate(np.bincount(sizes).tolist()):
-        chunk = max(1, _SUM_BLOCK // ((1 + n) * max(k, 1)))
-        for lo in range(row, row + count, chunk):
-            hi = min(lo + chunk, row + count)
-            cols = regions[at : at + (hi - lo) * k].reshape(hi - lo, 1, k)
-            sums[lo:hi] = tables[owner[lo:hi, None, None], layers, cols].sum(axis=-1)
-            at += (hi - lo) * k
-        row += count
+    # A sum past the float range is refused by ``check_entries`` below.
+    with np.errstate(over="ignore"):
+        for k, count in enumerate(np.bincount(sizes).tolist()):
+            chunk = max(1, _SUM_BLOCK // ((1 + n) * max(k, 1)))
+            for lo in range(row, row + count, chunk):
+                hi = min(lo + chunk, row + count)
+                cols = regions[at : at + (hi - lo) * k].reshape(hi - lo, 1, k)
+                sums[lo:hi] = tables[owner[lo:hi, None, None], layers, cols].sum(axis=-1)
+                at += (hi - lo) * k
+            row += count
     # Each profile's sums, back through the size order, one C-contiguous
     # row each, which the kernel's gathers read faster than strided ones.
     columns = np.take(sums.T, np.argsort(by_size)[inverse], axis=1)
@@ -640,7 +621,7 @@ class CoveringMonteCarloSpec:
                 tables = np.ones((hi - lo, 1 + n, m))
                 tables[:, 1:] = _estimate_draws(n, np.ones(m), *noise, keys[lo:hi, 1], rng)
                 options, actions = bits[rows[lo] : rows[hi]], counts[lo:hi]
-                columns = _covering_tables(tables, options, actions, [m] * (hi - lo))
+                columns = _covering_tables(tables, options, actions)
                 yield actions, columns[0], columns[1:]
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from sinkeq.dynamics import (
     BEST,
     BETTER,
-    build_batch_kernel,
     build_kernel,
     is_singleton_br,
+    stacked_kernel,
 )
 from sinkeq.errors import InvalidParametersError
-from sinkeq.game import NormalFormGame, is_nash
+from sinkeq.game import NormalFormGame, is_nash, stacked_tables
 from sinkeq.generators import counterexample_game, philox_rng, sample_random_game
 
 from reference_kernels import per_game_kernel, response_set, row, stack_kernels
@@ -185,21 +185,28 @@ def game_batches(draw):
     return draw(st.lists(games_of(n), min_size=1, max_size=5))
 
 
+def batch_kernel(games, mode, tie_tol=0.0):
+    """The block-diagonal kernel of ``games``, built as ``run_monte_carlo``
+    builds a batch's: ``stacked_kernel`` of their ``stacked_tables``."""
+    counts, _, utilities = stacked_tables(games)
+    return stacked_kernel(counts, utilities, mode, tie_tol)
+
+
 class TestBatchKernel:
-    """The batch builder against per-game kernels stacked block-diagonally;
+    """The batch kernel against per-game kernels stacked block-diagonally;
     every array must match bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(game_batches(), st.sampled_from([BEST, BETTER]), st.sampled_from([0.0, 0.25, 0.6]))
     def test_equals_stacked_per_game_kernels(self, games, mode, tie_tol):
         want = stack_kernels([per_game_kernel(game, mode, tie_tol) for game in games])
-        assert_same_kernel(build_batch_kernel(games, mode, tie_tol), want)
+        assert_same_kernel(batch_kernel(games, mode, tie_tol), want)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3).flatmap(games_of), st.sampled_from([BEST, BETTER]))
     def test_a_batch_of_one_is_build_kernel(self, game, mode):
         kernel = build_kernel(game, mode, 0.25)
-        assert_same_kernel(build_batch_kernel([game], mode, 0.25), kernel)
+        assert_same_kernel(batch_kernel([game], mode, 0.25), kernel)
         assert_same_kernel(kernel, per_game_kernel(game, mode, 0.25))
 
     def test_ragged_batch_with_one_action_players(self):
@@ -230,26 +237,21 @@ class TestBatchKernel:
             games = [sample_random_game(rng, c) for c in counts]
             for mode in (BEST, BETTER):
                 want = stack_kernels([per_game_kernel(game, mode) for game in games])
-                assert_same_kernel(build_batch_kernel(games, mode), want)
-
-    def test_mixed_player_counts_are_refused(self):
-        games = [single_player([0.0, 1.0]), counterexample_game(1.0, 2.0)]
-        with pytest.raises(
-            InvalidParametersError,
-            match=r"^games in one batch must have the same number of players$",
-        ):
-            build_batch_kernel(games)
+                assert_same_kernel(batch_kernel(games, mode), want)
 
     def test_refusals_match_build_kernel(self):
+        # ``stacked_kernel`` takes a checked mode and tie_tol; ``build_kernel``
+        # refuses the others with these messages.
         g = single_player([0.0, 1.0])
-        with pytest.raises(InvalidParametersError, match=r"^need at least one game$"):
-            build_batch_kernel([])
-        for mode, tie_tol in (("softmax", 0.0), (BEST, -0.1), (BEST, math.inf), (BETTER, math.nan)):
+        for mode, tie_tol, message in (
+            ("softmax", 0.0, "mode must be 'best' or 'better'"),
+            (BEST, -0.1, "tie_tol must be nonnegative"),
+            (BEST, math.inf, "tie_tol must be finite"),
+            (BETTER, math.nan, "tie_tol must be nonnegative"),
+        ):
             with pytest.raises(InvalidParametersError) as alone:
                 build_kernel(g, mode, tie_tol)
-            with pytest.raises(InvalidParametersError) as batched:
-                build_batch_kernel([g, g], mode, tie_tol)
-            assert str(batched.value) == str(alone.value)
+            assert str(alone.value) == message
 
 
 class TestSingletonCheck:

@@ -33,7 +33,6 @@ from sinkeq.generators import (
     covering_sinking_bound,
     expected_covering_misalignment,
     make_covering_game,
-    make_covering_games,
     make_radio_game,
     philox_rng,
     radio_sinking_bound,
@@ -382,6 +381,14 @@ class TestNonFiniteFields:
         with pytest.raises(ValidationError, match=r"^estimates must be finite$"):
             RadioInstance(np.zeros((2, 2)), 0.5, estimates)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_covering_union_sums_past_the_float_range(self):
+        # Both estimates are finite, but their sum over the one union is not:
+        # the sum is refused, with no overflow warning on the way.
+        instance = CoveringInstance((1.0, 1.0), (((0, 1),),), 0.0, 0.0, 0, np.full((1, 2), 1e308))
+        with pytest.raises(ValidationError, match=r"^utility entries must be finite$"):
+            make_covering_game(instance)
+
 
 @pytest.mark.parametrize(
     "sample",
@@ -402,7 +409,7 @@ def test_builders_draw_nothing(monkeypatch):
     covering = [sample_covering_instance(4, 8, 0.01, 0.01, seed) for seed in range(5)]
     covering.append(CoveringInstance((0.5, 2.0), (((0,), (1,)),), 0.1, 0.2, 3, np.ones((1, 2))))
     radio = [sample_radio_instance(n, 0.8, n) for n in (2, 5)]
-    expected = make_covering_games(covering[:5]) + make_covering_games(covering[5:])
+    expected = [make_covering_game(instance) for instance in covering]
     expected += [make_radio_game(instance) for instance in radio]
 
     def refuse(*args, **kwargs):
@@ -410,7 +417,7 @@ def test_builders_draw_nothing(monkeypatch):
 
     for name in ("philox_rng", "philox_generator", "rekeyed"):
         monkeypatch.setattr(generators, name, refuse)
-    games = make_covering_games(covering[:5]) + [make_covering_game(covering[5])]
+    games = [make_covering_game(instance) for instance in covering]
     games += [make_radio_game(instance) for instance in radio]
     for game, alone in zip(games, expected, strict=True):
         assert game.welfare.tobytes() == alone.welfare.tobytes()
@@ -435,16 +442,34 @@ def test_union_sums_in_small_blocks_match_reference(monkeypatch):
     assert_matches_reference(sample_covering_instance(3, 70, 0.01, 0.2, 8, options_per_agent=5))
 
 
+def covering_batch(instances):
+    """The action counts and tables of each of ``instances``, with one agent
+    count, built together by ``_covering_tables`` as a Monte Carlo batch is
+    built.  A game over fewer regions than the widest gets the missing
+    regions with value and estimates 0, which none of its options covers."""
+    n, m = instances[0].num_agents, max(instance.num_regions for instance in instances)
+    counts = np.array([[len(opts) for opts in instance.options] for instance in instances])
+    tables = np.zeros((len(instances), 1 + n, m))
+    masks = np.zeros((int(counts.sum()), m), dtype=bool)
+    options = itertools.chain.from_iterable(instance.options for instance in instances)
+    for mask, subset in zip(masks, itertools.chain.from_iterable(options), strict=True):
+        mask[list(subset)] = True
+    for table, instance in zip(tables, instances):
+        table[0, : instance.num_regions] = instance.values
+        table[1:, : instance.num_regions] = instance.estimates
+    columns = generators._covering_tables(tables, np.packbits(masks, axis=1), counts)
+    return counts, np.split(columns, np.cumsum(counts.prod(axis=1))[:-1], axis=1)
+
+
 def assert_batch_matches_alone(instances):
-    """``make_covering_games`` gives each instance, bit for bit, the game
-    that ``make_covering_game`` gives it alone."""
-    games = make_covering_games(instances)
-    assert len(games) == len(instances)
-    for game, instance in zip(games, instances):
+    """A batch gives each instance, bit for bit, the tables that
+    ``make_covering_game`` gives it alone."""
+    counts, tables = covering_batch(instances)
+    for row, table, instance in zip(counts.tolist(), tables, instances, strict=True):
         alone = make_covering_game(instance)
-        assert game.action_counts == alone.action_counts
-        assert game.welfare.tobytes() == alone.welfare.tobytes()
-        assert game.utilities.tobytes() == alone.utilities.tobytes()
+        assert tuple(row) == alone.action_counts
+        assert table[0].tobytes() == alone.welfare.tobytes()
+        assert table[1:].tobytes() == alone.utilities.tobytes()
 
 
 def wide_instances(m, seeds):
@@ -460,7 +485,7 @@ def wide_instances(m, seeds):
 
 
 class TestBatchCoveringGames:
-    """The batch covering builder against the one-instance builder and the
+    """The table build of a batch against the one-instance builder and the
     per-profile reference loop."""
 
     @pytest.mark.parametrize("m", [1, 8, 9, 17])
@@ -471,8 +496,9 @@ class TestBatchCoveringGames:
             assert_matches_reference(instance)
 
     def test_mixed_region_counts(self):
-        # Union rows of one, two and three bytes in one batch, in both
-        # orders, with unions of 8 regions and more.
+        # Games of 1, 8, 9 and 17 regions in one batch of three-byte union
+        # rows, in both orders, with unions of 8 regions and more; the
+        # regions a game gains in the batch add nothing to its sums.
         instances = [wide_instances(m, [m])[0] for m in (1, 8, 9, 17)]
         assert max(len(subset) for opts in instances[-1].options for subset in opts) >= 8
         assert_batch_matches_alone(instances)
@@ -499,8 +525,8 @@ class TestBatchCoveringGames:
             CoveringInstance(values, options, bias=0.01, scale=0.3, seed=seed)
             for seed in range(generators._BATCH_STATES)
         ]
-        games = make_covering_games(instances)
-        assert len({game.utilities.tobytes() for game in games}) == len(games)
+        _, tables = covering_batch(instances)
+        assert len({table[1:].tobytes() for table in tables}) == len(tables)
         assert_batch_matches_alone(instances)
 
     @pytest.mark.parametrize(
@@ -529,17 +555,6 @@ class TestBatchCoveringGames:
     def test_random_batches(self, instances):
         n = instances[0].num_agents
         assert_batch_matches_alone([i for i in instances if i.num_agents == n])
-
-    def test_refusals(self):
-        two = sample_covering_instance(2, 3, 0.01, 0.01, seed=1)
-        three = sample_covering_instance(3, 3, 0.01, 0.01, seed=1)
-        with pytest.raises(
-            InvalidParametersError,
-            match=r"^covering instances in one batch must have the same number of agents$",
-        ):
-            make_covering_games([two, three])
-        with pytest.raises(InvalidParametersError, match=r"^need at least one covering instance$"):
-            make_covering_games([])
 
 
 class TestFoldedNormalMisalignment:

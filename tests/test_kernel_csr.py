@@ -12,14 +12,13 @@ from sinkeq.dynamics import (
     BEST,
     BETTER,
     TransitionKernel,
-    build_batch_kernel,
     build_kernel,
+    stacked_kernel,
 )
 from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
-    _batches,
+    CoveringMonteCarloSpec,
     make_covering_game,
-    make_covering_games,
     make_radio_game,
     philox_rng,
     sample_covering_instance,
@@ -27,6 +26,7 @@ from sinkeq.generators import (
     sample_random_game,
 )
 from sinkeq.sinks import _tarjan, sink_components, stationary_distributions
+from sinkeq.streams import philox_generator
 
 from reference_kernels import row, stack_kernels
 from samplers import sample_action_counts, trial_seed
@@ -289,6 +289,14 @@ def test_stacked_kernels_keep_each_block(kernels):
     assert sink_components(stacked) == expected_sinks
 
 
+def covering_batch_kernels(master):
+    """The block-diagonal kernels that run_monte_carlo searches in a
+    benchmark ``covering-mc`` run, built as it builds them."""
+    spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+    for counts, _, utilities in spec.batches(range(50), master, philox_generator()):
+        yield stacked_kernel(counts, utilities, BEST)
+
+
 def radio_pool_kernels(seed):
     """The best-response kernels of the benchmark's 12-player radio pool."""
     for i in range(15):
@@ -311,17 +319,10 @@ def benchmark_pool_kernels():
             yield build_kernel(game, BETTER)
             yield build_kernel(game, BEST)
         for master in range(seed * 5, seed * 5 + 5):
-            instances = [
-                sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(master, trial))
-                for trial in range(50)
-            ]
-            for game in make_covering_games(instances):
-                yield build_kernel(game, BEST)
-            # The block-diagonal kernels that run_monte_carlo searches,
-            # built as it builds them.
-            games = make_covering_games(instances)
-            for lo, hi in _batches([game.num_profiles for game in games]):
-                yield build_batch_kernel(games[lo:hi], BEST)
+            for trial in range(50):
+                instance = sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(master, trial))
+                yield build_kernel(make_covering_game(instance), BEST)
+            yield from covering_batch_kernels(master)
 
 
 def test_radio_pool_sinks_are_settled_by_marking(monkeypatch):
@@ -347,13 +348,8 @@ def partition_kernels():
     yield "staircase-64", build_kernel(staircase_game(64), BEST)
     yield "staircase-8", build_kernel(staircase_game(8), BEST)
     for master in (5, 6):
-        instances = [
-            sample_covering_instance(4, 8, 0.01, 0.01, trial_seed(master, trial))
-            for trial in range(50)
-        ]
-        games = make_covering_games(instances)
-        for lo, hi in _batches([game.num_profiles for game in games]):
-            yield f"covering-{master}-{lo}", build_batch_kernel(games[lo:hi], BEST)
+        for batch, kernel in enumerate(covering_batch_kernels(master)):
+            yield f"covering-{master}-{batch}", kernel
     for i, game in enumerate(GAMES):
         for mode in (BEST, BETTER):
             yield f"corpus-{i}-{mode}", build_kernel(game, mode)
