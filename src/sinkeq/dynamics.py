@@ -45,6 +45,44 @@ class TransitionKernel:
         src = np.repeat(np.arange(self.num_states), np.diff(self.indptr))
         return zip(src.tolist(), self.indices.tolist(), self.probs.tolist())
 
+    def price(self, edges: np.ndarray | slice) -> np.ndarray:
+        """Probabilities of the edges at positions ``edges``."""
+        return self.probs[edges]
+
+
+@dataclass(frozen=True, eq=False)
+class KernelEdges:
+    """A kernel's CSR structure before its probabilities are derived:
+    ``indptr`` and ``indices`` as in ``TransitionKernel``, and what prices an
+    edge.  Edge ``e`` is the packed key ``keys[e]`` of its source, its
+    target and the player whose share it carries (n for a self-loop).  A
+    player's share is ``1 / denoms[player, source]``, a self-loop's the
+    sum ``diag[source]`` of the shares of the players whose current action
+    is a response."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    keys: np.ndarray
+    denoms: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def num_states(self) -> int:
+        return self.indptr.size - 1
+
+    def price(self, edges: np.ndarray | slice) -> np.ndarray:
+        """Probabilities of the edges at positions ``edges``, bit for bit
+        those of ``stacked_kernel``."""
+        n = len(self.denoms) - 1
+        player_bits = n.bit_length()
+        key = self.keys[edges]
+        player = key & ((1 << player_bits) - 1)
+        src = key >> ((self.num_states - 1).bit_length() + player_bits)
+        probs = 1.0 / self.denoms.ravel()[player * self.num_states + src]
+        loops = player == n
+        probs[loops] = self.diag[src[loops]]
+        return probs
+
 
 def _check_tie_tol(tie_tol: float) -> None:
     """Refuse a ``tie_tol`` that is negative, NaN or infinite."""
@@ -78,10 +116,25 @@ def stacked_kernel(
     action counts, one row per game, and their utility tables laid end to
     end, with a checked mode: each game's states follow those of the games
     before it, each block is the game's ``build_kernel``, bit for bit, and no
-    edge joins two blocks.  One pass per player covers every game, with its
-    stride and action count per state; where action counts differ, shorter
-    fibers are padded and the padded slots masked out.  One sort of packed
-    int64 keys orders the edges."""
+    edge joins two blocks.  This is ``stacked_edges`` with every edge
+    priced, as ``build_kernel`` and so ``export-kernel`` price them;
+    ``batch_prices`` searches the unpriced edges instead and derives
+    probabilities only for the rows it solves."""
+    edges = stacked_edges(counts, utilities, mode, tie_tol)
+    kernel = TransitionKernel(edges.indptr, edges.indices, edges.price(slice(None)))
+    for arr in (kernel.indptr, kernel.indices, kernel.probs):
+        arr.setflags(write=False)
+    return kernel
+
+
+def stacked_edges(
+    counts: np.ndarray, utilities: np.ndarray, mode: str = BEST, tie_tol: float = 0.0
+) -> KernelEdges:
+    """``stacked_kernel`` before pricing: its CSR structure and what prices
+    each edge.  One pass per player covers every game, with its stride and
+    action count per state; where action counts differ, shorter fibers are
+    padded and the padded slots masked out.  One sort of packed int64 keys
+    orders the edges."""
     sizes = counts.prod(axis=1)
     # Exact: each entry of the running product is a multiple of the count.
     strides = np.cumprod(counts, axis=1) // counts
@@ -92,8 +145,8 @@ def stacked_kernel(
     # One int64 key per edge packs its source, its target and the player
     # whose share it carries (n for a self-loop), in 63 bits unless the tables
     # exceed 16 GiB.  Keys never tie, as the targets of different players
-    # differ in different coordinates.  A share is ``1 / denoms[player, src]``;
-    # the self-loops' sums, in player order, are then written over theirs.
+    # differ in different coordinates.  The self-loops' sums are kept in
+    # player order.
     state_bits = (num_states - 1).bit_length()
     player_bits = n.bit_length()
     keys = []
@@ -127,21 +180,14 @@ def stacked_kernel(
         keys.append(((at % num_states << state_bits) | fiber.ravel()[at]) << player_bits | player)
     looped = np.flatnonzero(diag)
     keys.append(((looped << state_bits) | looped) << player_bits | n)
-    loops = keys[-1]
 
     key = np.concatenate(keys)
     del keys
     key.sort()
-    src = key >> (state_bits + player_bits)
-    kernel = TransitionKernel(
-        indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
-        indices=(key >> player_bits) & ((1 << state_bits) - 1),
-        probs=1.0 / denoms.ravel()[(key & ((1 << player_bits) - 1)) * num_states + src],
-    )
-    kernel.probs[np.searchsorted(key, loops)] = diag[looped]
-    for arr in (kernel.indptr, kernel.indices, kernel.probs):
-        arr.setflags(write=False)
-    return kernel
+    lengths = np.bincount(key >> (state_bits + player_bits), minlength=num_states)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = (key >> player_bits) & ((1 << state_bits) - 1)
+    return KernelEdges(indptr, indices, key, denoms, diag)
 
 
 def is_singleton_br(

@@ -9,13 +9,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import BEST, TransitionKernel, build_kernel, stacked_kernel
+from .dynamics import BEST, KernelEdges, TransitionKernel, build_kernel, stacked_edges
 from .errors import DegenerateWelfareError, InvalidParametersError, NumericalFailureError
 from .game import NormalFormGame, positive_optimum
 
 STATIONARY_TOL = 1e-10
 POWER_MAX_STEPS = 10**6
 POWER_TOL = 1e-12
+
+
+# The sink search reads a kernel's ``indptr`` and ``indices`` only, and the
+# stationary solve prices the edges of the rows it solves, so either form
+# serves both.
+Kernel = TransitionKernel | KernelEdges
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +33,7 @@ class SinkEquilibrium:
     expected_welfare: float
 
 
-def _tarjan(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _tarjan(kernel: Kernel) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """SCCs in the order Tarjan's algorithm pops them, and each state's
     position in that list.
 
@@ -90,7 +96,7 @@ def _tarjan(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]], np.ndarray
     return components, np.array(label, dtype=np.int64)
 
 
-def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
+def _tarjan_sinks(kernel: Kernel) -> list[tuple[int, ...]]:
     """Sinks in the order ``_tarjan`` pops them, from its SCC labels."""
     components, label = _tarjan(kernel)
     src_label = np.repeat(label, np.diff(kernel.indptr))
@@ -112,7 +118,7 @@ def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
 _SWEEP_BUDGET = 80
 
 
-def _absorbing_sinks(kernel: TransitionKernel) -> tuple[np.ndarray | None, int]:
+def _absorbing_sinks(kernel: Kernel) -> tuple[np.ndarray | None, int]:
     """The absorbing states, in increasing order, when every state reaches
     one of them, else None; with the sweeps spent.
 
@@ -143,7 +149,7 @@ def _absorbing_sinks(kernel: TransitionKernel) -> tuple[np.ndarray | None, int]:
     return absorbing, sweeps
 
 
-def _colored_sinks(kernel: TransitionKernel, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _colored_sinks(kernel: Kernel, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Sinks by reachability coloring (Orzan 2004) with pointer jumping
     (Shiloach & Vishkin 1982), as ``_sink_partition`` gives them, or None
     once the sweeps would exceed ``budget``.
@@ -203,7 +209,7 @@ def _colored_sinks(kernel: TransitionKernel, budget: int) -> tuple[np.ndarray, n
     return members[order], np.bincount(group)[np.argsort(firsts)]
 
 
-def _sink_partition(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+def _sink_partition(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """``sink_components`` as arrays: every sink's states laid end to end,
     sink after sink, and the sinks' sizes."""
     absorbing, spent = _absorbing_sinks(kernel)
@@ -274,7 +280,7 @@ def _support_rows(
     return rows, sizes
 
 
-def _support_triples(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> Triples:
+def _support_triples(kernel: Kernel, rows: np.ndarray, sizes: np.ndarray) -> Triples:
     """Entries of the chain on supports laid end to end, ``sizes`` states
     each in increasing order, gathered from the kernel's CSR rows in row
     order.  Refuses supports that share a state or that an edge leaves."""
@@ -300,7 +306,7 @@ def _support_triples(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarr
             f"support is not closed: {np.repeat(rows, lengths)[first]} -> "
             f"{targets[first]} leaves it"
         )
-    return lengths, cols, kernel.probs[edge]
+    return lengths, cols, kernel.price(edge)
 
 
 def _left_product(pi: np.ndarray, triples: Triples) -> np.ndarray:
@@ -419,7 +425,7 @@ def stationary_distributions(
     return np.split(pi, np.cumsum(sizes)[:-1])
 
 
-def _stationary(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _stationary(kernel: Kernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``stationary_distributions`` of supports laid end to end, ``sizes``
     states each in increasing order, as one array laid out alike; the
     states are taken as distinct states of the kernel."""
@@ -452,26 +458,41 @@ def _stationary(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -
     return pi
 
 
-def _solved_sinks(kernel: TransitionKernel, welfare: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_sink_partition``, the stationary vectors laid out alike, and each
-    sink's expected welfare: its ``math.fsum`` clamped to the sink's welfare
-    range, as pi may sum to one only up to rounding (so a one-state sink's
-    is its state's welfare)."""
-    members, sizes = _sink_partition(kernel)
-    pi = _stationary(kernel, members, sizes)
+def _expected_welfare(
+    kernel: Kernel,
+    members: np.ndarray,
+    sizes: np.ndarray,
+    welfare: np.ndarray,
+    pi: np.ndarray | None = None,
+) -> np.ndarray:
+    """Expected welfare of each sink of ``_sink_partition``, under the
+    stationary vectors ``pi`` laid out alike, solved here when not given: a
+    sink's ``math.fsum`` clamped to its welfare range, as pi may sum to one
+    only up to rounding.  A sink whose welfare is constant takes that value
+    under any distribution, so its vector is neither read nor solved; a
+    sum of zeros is +0.0, as ``math.fsum`` gives, and a one-state sink's
+    value is its state's welfare."""
     values = welfare[members]
-    ends = np.cumsum(sizes)
-    expected = values[ends - sizes]
-    multi = np.flatnonzero(sizes > 1).tolist()
-    if multi:
-        terms = (pi * values).tolist()
-        lows = np.minimum.reduceat(values, ends - sizes).tolist()
-        highs = np.maximum.reduceat(values, ends - sizes).tolist()
-        ends = ends.tolist()
-        for j in multi:
-            total = math.fsum(terms[ends[j] - sizes[j] : ends[j]])
-            expected[j] = min(max(total, lows[j]), highs[j])
-    return members, sizes, pi, expected
+    starts = np.cumsum(sizes) - sizes
+    lows = np.minimum.reduceat(values, starts)
+    highs = np.maximum.reduceat(values, starts)
+    expected = values[starts]
+    # -0.0 + 0.0 is +0.0, as math.fsum sums zeros.
+    expected[sizes > 1] += 0.0
+    varying = lows < highs
+    if not varying.any():
+        return expected
+    solved = np.repeat(varying, sizes)
+    if pi is None:
+        pi = _stationary(kernel, members[solved], sizes[varying])
+    else:
+        pi = pi[solved]
+    terms = (pi * values[solved]).tolist()
+    ends = np.cumsum(sizes[varying]).tolist()
+    sums = [math.fsum(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    ranges = zip(sums, lows[varying].tolist(), highs[varying].tolist())
+    expected[varying] = [min(max(total, low), high) for total, low, high in ranges]
+    return expected
 
 
 def sink_equilibria(
@@ -480,7 +501,9 @@ def sink_equilibria(
     """One equilibrium per sink of the chosen response chain, ordered by the
     smallest support state."""
     kernel = build_kernel(game, mode=mode, tie_tol=tie_tol)
-    members, sizes, pi, expected = _solved_sinks(kernel, game.welfare)
+    members, sizes = _sink_partition(kernel)
+    pi = _stationary(kernel, members, sizes)
+    expected = _expected_welfare(kernel, members, sizes, game.welfare, pi)
     pi.setflags(write=False)
     sinks = zip(_sink_tuples(members, sizes), np.split(pi, np.cumsum(sizes)[:-1]))
     return [SinkEquilibrium(*sink, value) for sink, value in zip(sinks, expected.tolist())]
@@ -499,13 +522,19 @@ def price_of_sinking(
 def batch_prices(counts: np.ndarray, welfare: np.ndarray, utilities: np.ndarray) -> list[float]:
     """Best-response ``price_of_sinking`` of each of one or more games, given
     by their action counts, one row per game, and their checked tables laid
-    end to end: one kernel, sink search and solve for all, exact for each."""
+    end to end: one kernel, sink search and solve for all, exact for each.
+    The search reads the unpriced ``stacked_edges``; only sinks whose
+    welfare varies are solved, and only their rows priced.  A sink of
+    constant welfare takes no solve, and so no residual is certified for
+    it: no vector of it is read."""
     sizes = counts.prod(axis=1)
     ends = np.cumsum(sizes)
     optima = np.maximum.reduceat(welfare, ends - sizes)
     if not np.all(optima > 0.0):
         raise DegenerateWelfareError("optimal welfare is zero")
-    members, sinks, _, expected = _solved_sinks(stacked_kernel(counts, utilities), welfare)
+    edges = stacked_edges(counts, utilities)
+    members, sinks = _sink_partition(edges)
+    expected = _expected_welfare(edges, members, sinks, welfare)
     # Sinks come ordered by their smallest state, so game by game, and
     # every game has one.
     game = np.searchsorted(ends, members[np.cumsum(sinks) - sinks], side="right")

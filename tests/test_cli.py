@@ -355,6 +355,27 @@ class TestImports:
         assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+    def test_import_and_monte_carlo_load_no_scipy_or_networkx(self):
+        # The benchmark's peak RSS counts what ``import sinkeq`` loads; a
+        # Monte Carlo run must load no more.
+        code = (
+            "import sys\n"
+            "import sinkeq\n"
+            "loaded = lambda: sorted({'scipy', 'networkx'} & {m.split('.')[0] for m in sys.modules})\n"
+            "print(loaded())\n"
+            "from sinkeq.cli import main\n"
+            "assert main(['covering-mc', '--n', '3', '--regions', '4', '--trials', '3']) == 0\n"
+            "assert main(['radio-mc', '--n', '4', '--alpha', '0.8', '--trials', '3']) == 0\n"
+            "print(loaded())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sinkeq.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.strip().splitlines()
+        assert lines[0] == lines[-1] == "[]"
+
 class TestDeterminism:
     def test_best_mode_report_ignores_blas_threads(self, tmp_path):
         # The first and fourth no-Nash (6, 6, 6, 10) games of seed 1 have

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 import sinkeq.generators as generators
 import sinkeq.sinks as sinks
 import sinkeq.streams as streams
-from sinkeq.dynamics import BEST
+from sinkeq.dynamics import BEST, build_kernel
 from sinkeq.errors import (
     DegenerateWelfareError,
     GameAnalysisError,
     InvalidParametersError,
     ValidationError,
 )
-from sinkeq.game import NormalFormGame
+from sinkeq.game import NormalFormGame, stacked_tables
 from sinkeq.generators import (
     BOUND_TOL,
     MAX_PROFILES,
@@ -43,6 +43,7 @@ from sinkeq.generators import (
 )
 from sinkeq.sinks import price_of_sinking
 from sinkeq.smoothness import measure_misalignment
+from sinkeq.streams import philox_generator
 
 from samplers import sample_near_common_game, trial_seed
 
@@ -972,16 +973,81 @@ class TestBatchedMonteCarlo:
         assert run_monte_carlo(spec, trials, 4) == per_trial_monte_carlo(spec, trials, 4)
 
     def test_a_failing_solve_reports_as_in_the_loop(self, monkeypatch):
-        # With no steps allowed, every sink of two or more states fails;
-        # trials 0 and 1 of this run have only pure equilibria as sinks.
+        # With no steps allowed, every solve of a sink of two or more states
+        # fails.  The loop solves every sink and the batch only those whose
+        # welfare varies; trial 0 of this run has only pure equilibria as
+        # sinks, and the first multi-state sink, trial 1's, varies.
         monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 0)
-        spec = CoveringMonteCarloSpec(2, 6, 0.2, 0.4)
+        spec = CoveringMonteCarloSpec(2, 4, 0.0, 1.0)
         with pytest.raises(GameAnalysisError) as loop:
-            per_trial_monte_carlo(spec, 20, 3)
+            per_trial_monte_carlo(spec, 20, 5)
         with pytest.raises(GameAnalysisError) as batched:
-            run_monte_carlo(spec, 20, 3)
+            run_monte_carlo(spec, 20, 5)
         assert str(batched.value) == str(loop.value)
-        assert str(loop.value).startswith("trial 2 (master_seed=3): power iteration on a ")
+        assert str(loop.value).startswith("trial 1 (master_seed=5): power iteration on a ")
+
+    def test_constant_welfare_sinks_need_no_solve(self, monkeypatch):
+        # Every multi-state sink of this run has constant welfare, so its
+        # price reads no stationary vector, and a solve that would fail
+        # changes nothing.
+        spec = CoveringMonteCarloSpec(2, 6, 0.2, 0.4)
+        summary = run_monte_carlo(spec, 20, 3)
+        monkeypatch.setattr(sinks, "POWER_MAX_STEPS", 0)
+        assert run_monte_carlo(spec, 20, 3) == summary
+        with pytest.raises(GameAnalysisError):
+            per_trial_monte_carlo(spec, 20, 3)
+
+
+def sink_welfare_ranges(game):
+    """Whether some best-response sink of ``game`` has varying welfare, and
+    whether some multi-state one has constant welfare."""
+    varying = constant = False
+    for sink in sinks.sink_components(build_kernel(game, BEST)):
+        values = np.asarray(game.welfare)[list(sink)]
+        varying |= bool(values.min() < values.max())
+        constant |= bool(len(sink) > 1 and values.min() == values.max())
+    return varying, constant
+
+
+class TestBatchPrices:
+    """``batch_prices`` against ``price_of_sinking`` of each game, byte for
+    byte."""
+
+    @pytest.mark.parametrize(
+        "spec, seed, varying",
+        [
+            (CoveringMonteCarloSpec(4, 8, 0.0, 1.0), 5, True),
+            (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), 5, False),
+        ],
+        ids=["varying-sinks", "constant-sinks"],
+    )
+    def test_equals_price_of_sinking(self, spec, seed, varying):
+        games, ranges = [], set()
+        for trial in range(30):
+            instance = sample_covering_instance(4, 8, spec.bias, spec.scale, trial_seed(seed, trial))
+            games.append(make_covering_game(instance))
+            ranges.add(sink_welfare_ranges(games[-1]))
+        # The first setting has sinks of varying welfare; in the second
+        # every multi-state sink is on the full-coverage plateau.
+        assert any(v for v, _ in ranges) is varying
+        assert any(c for _, c in ranges)
+        got = []
+        for counts, welfare, utilities in spec.batches(range(30), seed, philox_generator()):
+            got += generators.batch_prices(counts, welfare, utilities)
+        want = [price_of_sinking(game, BEST)[0] for game in games]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "zeros", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)], ids=["pos-neg", "neg-pos", "neg-neg"]
+    )
+    def test_a_sink_of_signed_zeros_prices_at_positive_zero(self, zeros):
+        # One player ties actions 0 and 1, a two-state sink whose welfare
+        # is zero; ``math.fsum`` of its terms, then the clamp, give +0.0.
+        game = NormalFormGame((3,), np.array([*zeros, 1.0]), np.array([[1.0, 1.0, 0.0]]))
+        assert sinks.sink_components(build_kernel(game, BEST)) == [(0, 1)]
+        want, _ = price_of_sinking(game, BEST)
+        got = generators.batch_prices(*stacked_tables([game]))
+        assert np.array(got).tobytes() == np.array([want]).tobytes() == np.array([0.0]).tobytes()
 
 
 class TestSeedPlumbing:
