@@ -45,43 +45,24 @@ class TransitionKernel:
         src = np.repeat(np.arange(self.num_states), np.diff(self.indptr))
         return zip(src.tolist(), self.indices.tolist(), self.probs.tolist())
 
-    def price(self, edges: np.ndarray | slice) -> np.ndarray:
-        """Probabilities of the edges at positions ``edges``."""
-        return self.probs[edges]
-
 
 @dataclass(frozen=True, eq=False)
-class KernelEdges:
-    """A kernel's CSR structure before its probabilities are derived:
-    ``indptr`` and ``indices`` as in ``TransitionKernel``, and what prices an
-    edge.  Edge ``e`` is the packed key ``keys[e]`` of its source, its
-    target and the player whose share it carries (n for a self-loop).  A
-    player's share is ``1 / denoms[player, source]``, a self-loop's the
-    sum ``diag[source]`` of the shares of the players whose current action
-    is a response."""
+class BestResponseFibers:
+    """Every player's fibers of a batch of games, side by side: a fiber is
+    the set of states that differ only in that player's action.  Column f of
+    the ``(width, fibers)`` tables is one fiber, player after player, its
+    slots in the order of the player's actions: ``best`` flags the slots
+    that hold a best response, and ``targets`` holds the slot's state when
+    it is one and the fiber's first best response otherwise, padded slots
+    past a smaller action count included.  ``fiber[player, v]`` is the
+    column of the player's fiber through state v, and ``action[player, v]``
+    v's slot in it.  Every state of a fiber moves, on that player's turn,
+    to each of the fiber's best responses."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    keys: np.ndarray
-    denoms: np.ndarray
-    diag: np.ndarray
-
-    @property
-    def num_states(self) -> int:
-        return self.indptr.size - 1
-
-    def price(self, edges: np.ndarray | slice) -> np.ndarray:
-        """Probabilities of the edges at positions ``edges``, bit for bit
-        those of ``stacked_kernel``."""
-        n = len(self.denoms) - 1
-        player_bits = n.bit_length()
-        key = self.keys[edges]
-        player = key & ((1 << player_bits) - 1)
-        src = key >> ((self.num_states - 1).bit_length() + player_bits)
-        probs = 1.0 / self.denoms.ravel()[player * self.num_states + src]
-        loops = player == n
-        probs[loops] = self.diag[src[loops]]
-        return probs
+    targets: np.ndarray
+    best: np.ndarray
+    fiber: np.ndarray
+    action: np.ndarray
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -116,25 +97,10 @@ def stacked_kernel(
     action counts, one row per game, and their utility tables laid end to
     end, with a checked mode: each game's states follow those of the games
     before it, each block is the game's ``build_kernel``, bit for bit, and no
-    edge joins two blocks.  This is ``stacked_edges`` with every edge
-    priced, as ``build_kernel`` and so ``export-kernel`` price them;
-    ``batch_prices`` searches the unpriced edges instead and derives
-    probabilities only for the rows it solves."""
-    edges = stacked_edges(counts, utilities, mode, tie_tol)
-    kernel = TransitionKernel(edges.indptr, edges.indices, edges.price(slice(None)))
-    for arr in (kernel.indptr, kernel.indices, kernel.probs):
-        arr.setflags(write=False)
-    return kernel
-
-
-def stacked_edges(
-    counts: np.ndarray, utilities: np.ndarray, mode: str = BEST, tie_tol: float = 0.0
-) -> KernelEdges:
-    """``stacked_kernel`` before pricing: its CSR structure and what prices
-    each edge.  One pass per player covers every game, with its stride and
-    action count per state; where action counts differ, shorter fibers are
-    padded and the padded slots masked out.  One sort of packed int64 keys
-    orders the edges."""
+    edge joins two blocks.  One pass per player covers every game, with its
+    stride and action count per state; where action counts differ, shorter
+    fibers are padded and the padded slots masked out.  One sort of packed
+    int64 keys orders the edges."""
     sizes = counts.prod(axis=1)
     # Exact: each entry of the running product is a multiple of the count.
     strides = np.cumprod(counts, axis=1) // counts
@@ -145,8 +111,8 @@ def stacked_edges(
     # One int64 key per edge packs its source, its target and the player
     # whose share it carries (n for a self-loop), in 63 bits unless the tables
     # exceed 16 GiB.  Keys never tie, as the targets of different players
-    # differ in different coordinates.  The self-loops' sums are kept in
-    # player order.
+    # differ in different coordinates.  A share is ``1 / denoms[player, src]``;
+    # the self-loops' sums, in player order, are then written over theirs.
     state_bits = (num_states - 1).bit_length()
     player_bits = n.bit_length()
     keys = []
@@ -184,10 +150,61 @@ def stacked_edges(
     key = np.concatenate(keys)
     del keys
     key.sort()
-    lengths = np.bincount(key >> (state_bits + player_bits), minlength=num_states)
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    indices = (key >> player_bits) & ((1 << state_bits) - 1)
-    return KernelEdges(indptr, indices, key, denoms, diag)
+    src = key >> (state_bits + player_bits)
+    player = key & ((1 << player_bits) - 1)
+    probs = 1.0 / denoms.ravel()[player * num_states + src]
+    loops = player == n
+    probs[loops] = diag[src[loops]]
+    kernel = TransitionKernel(
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_states)))),
+        indices=(key >> player_bits) & ((1 << state_bits) - 1),
+        probs=probs,
+    )
+    for arr in (kernel.indptr, kernel.indices, kernel.probs):
+        arr.setflags(write=False)
+    return kernel
+
+
+def best_response_fibers(counts: np.ndarray, utilities: np.ndarray) -> BestResponseFibers:
+    """The fibers of ``stacked_kernel(counts, utilities)``, best mode with
+    ``tie_tol`` 0, with no edge built: one pass per player over every game,
+    as in ``stacked_kernel``, over the fibers' first states, where the
+    player takes action 0.  Its best responses are those of the kernel, bit
+    for bit."""
+    sizes = counts.prod(axis=1)
+    strides = np.cumprod(counts, axis=1) // counts
+    num_states = int(sizes.sum())
+    n = counts.shape[1]
+    states = np.arange(num_states)
+    local = states if len(counts) == 1 else states - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = int(counts.max())
+    slots = np.arange(width)[:, None]
+    # Each player's fibers, player after player: a game's states over the
+    # player's action count.
+    ends = np.cumsum((sizes[:, None] // counts).sum(axis=0)).tolist()
+    targets = np.empty((width, ends[-1]), dtype=np.int64)
+    best = np.empty(targets.shape, dtype=bool)
+    fiber = np.empty((n, num_states), dtype=np.int64)
+    action = np.empty((n, num_states), dtype=np.min_scalar_type(width - 1))
+    for player, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        c, s = counts[:, player], strides[:, player]
+        uniform = bool((c == c[0]).all() and (s == s[0]).all())
+        c, s = (int(c[0]), int(s[0])) if uniform else (np.repeat(c, sizes), np.repeat(s, sizes))
+        action[player] = own = local // s % c
+        first = own == 0
+        heads = np.flatnonzero(first)
+        fiber[player] = np.cumsum(first)[states - own * s] + (lo - 1)
+        if not uniform:
+            c, s = c[heads], s[heads]
+        # A padded slot holds the fiber's first state, whose payoff is
+        # already in the fiber, so the best payoff stays as it is.
+        padded = slots >= c
+        members = np.where(padded, heads, heads + s * slots)
+        val = utilities[player][members]
+        best[:, lo:hi] = mask = (val >= val.max(axis=0)) & ~padded
+        # Members increase with the slot, so the first best response is the least.
+        targets[:, lo:hi] = np.where(mask, members, np.where(mask, members, num_states).min(axis=0))
+    return BestResponseFibers(targets, best, fiber, action)
 
 
 def is_singleton_br(

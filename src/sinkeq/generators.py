@@ -306,7 +306,7 @@ def _covering_tables(tables: np.ndarray, bits: np.ndarray, counts: np.ndarray) -
                 at += (hi - lo) * k
             row += count
     # Each profile's sums, back through the size order, one C-contiguous
-    # row each, which the kernel's gathers read faster than strided ones.
+    # row each, which gathers read faster than strided ones.
     columns = np.take(sums.T, np.argsort(by_size)[inverse], axis=1)
     check_entries(columns[0], columns[1:])
     return columns
@@ -677,7 +677,7 @@ class MonteCarloSummary:
 
 
 # Most states a batch of Monte Carlo trials may hold; a larger trial is a
-# batch of its own.  One game build, one kernel build, one sink search and
+# batch of its own.  One game build, one fiber build, one sink search and
 # one stationary solve serve a whole batch, which saves the per-call costs
 # of small trials.  Time and peak memory of 50-trial covering-mc runs by
 # budget are in CHANGES.md: from 2^11 to 2^12 states ran fastest, and the
@@ -729,10 +729,11 @@ def run_monte_carlo(
     of execution order.  Batches of consecutive trials are analyzed
     together, with the results of analyzing each alone.  A covering batch
     flows as arrays from the drawn option bits and estimates, through one
-    table build, kernel, sink search and solve, to the prices: no instance,
-    game or equilibrium object per trial, and each of their checks runs once
-    per batch.  The public samplers and builders wrap the same draws and
-    table build.  The first
+    table build, one sink search on the best-response fibers and one solve
+    of the sinks whose welfare varies, to the prices: no instance, game,
+    kernel or equilibrium object per trial, and each of their checks runs
+    once per batch.  The public samplers and builders wrap the same draws
+    and table build.  The first
     failing trial aborts the run, and the error names it and the master
     seed: ``trial t (master_seed=s): ...``.  After an error, in a draw, a
     table build or an analysis, the trials not yet priced run again as

@@ -5,23 +5,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import BEST, KernelEdges, TransitionKernel, build_kernel, stacked_edges
+from .dynamics import (
+    BEST,
+    BestResponseFibers,
+    TransitionKernel,
+    best_response_fibers,
+    build_kernel,
+    stacked_kernel,
+)
 from .errors import DegenerateWelfareError, InvalidParametersError, NumericalFailureError
 from .game import NormalFormGame, positive_optimum
 
 STATIONARY_TOL = 1e-10
 POWER_MAX_STEPS = 10**6
 POWER_TOL = 1e-12
-
-
-# The sink search reads a kernel's ``indptr`` and ``indices`` only, and the
-# stationary solve prices the edges of the rows it solves, so either form
-# serves both.
-Kernel = TransitionKernel | KernelEdges
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +34,7 @@ class SinkEquilibrium:
     expected_welfare: float
 
 
-def _tarjan(kernel: Kernel) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _tarjan(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """SCCs in the order Tarjan's algorithm pops them, and each state's
     position in that list.
 
@@ -96,7 +97,7 @@ def _tarjan(kernel: Kernel) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return components, np.array(label, dtype=np.int64)
 
 
-def _tarjan_sinks(kernel: Kernel) -> list[tuple[int, ...]]:
+def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     """Sinks in the order ``_tarjan`` pops them, from its SCC labels."""
     components, label = _tarjan(kernel)
     src_label = np.repeat(label, np.diff(kernel.indptr))
@@ -105,43 +106,45 @@ def _tarjan_sinks(kernel: Kernel) -> list[tuple[int, ...]]:
     return [components[cid] for cid in np.flatnonzero(~escapes).tolist()]
 
 
-# Sweeps over the edges that ``sink_components`` may make, marking and
-# coloring together, before it hands the kernel to ``_tarjan``.  On the
-# 12-player interference games one coloring sweep, pointer jump included,
-# costs about E x 4 ns and ``_tarjan`` about E x 250-300 ns, so 80 sweeps
-# cost about one Tarjan pass, and a kernel that runs out of budget takes
-# about twice as long as Tarjan alone (up to 2.5 times on rows of one or two
-# edges, where reduceat's cost per row dominates).  The sweeps needed grow
-# with the length of response paths, which nothing bounds.  Along rising
-# labels a color's reach doubles with each sweep (about log2(L) sweeps for a
-# path of L states), but along falling labels it moves one edge per sweep.
+# Sweeps that a sink search may make, marking and coloring together, before
+# it hands the chain to ``_tarjan``: over the edges in ``sink_components``,
+# over the best-response fibers in ``batch_prices``, where a sweep marks and
+# colors exactly the states an edge sweep does.  On the 12-player
+# interference games one coloring sweep over the edges, pointer jump
+# included, costs about E x 4 ns and ``_tarjan`` about E x 250-300 ns, so 80
+# sweeps cost about one Tarjan pass, and a kernel that runs out of budget
+# takes about twice as long as Tarjan alone (up to 2.5 times on rows of one
+# or two edges, where reduceat's cost per row dominates).  The sweeps needed
+# grow with the length of response paths, which nothing bounds.  Along
+# rising labels a color's reach doubles with each sweep (about log2(L)
+# sweeps for a path of L states), but along falling labels it moves one
+# edge per sweep.
 _SWEEP_BUDGET = 80
 
 
-def _absorbing_sinks(kernel: Kernel) -> tuple[np.ndarray | None, int]:
-    """The absorbing states, in increasing order, when every state reaches
-    one of them, else None; with the sweeps spent.
+def _marking(
+    absorbing: np.ndarray, num_states: int, reach: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray | None, int]:
+    """The ``absorbing`` states when every state reaches one of them, else
+    None; with the sweeps spent.
 
-    An absorbing state's row holds only its self-loop.  Each sweep marks the
-    states with an edge into a marked one.  A state of a multi-state sink
-    reaches no absorbing state, as its sink is closed, so once every state
-    is marked the absorbing states are all the sinks.  Stops unsettled when
-    a sweep marks nothing new or the sweeps would exceed ``_SWEEP_BUDGET``;
-    needs a kernel with no empty row, as ``_colored_sinks`` does.
+    Each sweep marks the states that ``reach(marked)`` flags, those with an
+    edge into a marked one.  A state of a multi-state sink reaches no
+    absorbing state, as its sink is closed, so once every state is marked
+    the absorbing states are all the sinks.  Stops unsettled when no state
+    is absorbing, a sweep marks nothing new or the sweeps would exceed
+    ``_SWEEP_BUDGET``.
     """
-    indptr, indices = kernel.indptr, kernel.indices
-    single = np.flatnonzero(np.diff(indptr) == 1)
-    absorbing = single[indices[indptr[single]] == single]
     if not absorbing.size:
         return None, 0
-    marked = np.zeros(kernel.num_states, dtype=bool)
+    marked = np.zeros(num_states, dtype=bool)
     marked[absorbing] = True
     count, sweeps = absorbing.size, 0
-    while count < kernel.num_states:
+    while count < num_states:
         if sweeps == _SWEEP_BUDGET:
             return None, sweeps
         sweeps += 1
-        marked |= np.logical_or.reduceat(marked[indices], indptr[:-1])
+        marked |= reach(marked)
         grown = int(np.count_nonzero(marked))
         if grown == count:
             return None, sweeps
@@ -149,57 +152,75 @@ def _absorbing_sinks(kernel: Kernel) -> tuple[np.ndarray | None, int]:
     return absorbing, sweeps
 
 
-def _colored_sinks(kernel: Kernel, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sinks by reachability coloring (Orzan 2004) with pointer jumping
-    (Shiloach & Vishkin 1982), as ``_sink_partition`` gives them, or None
-    once the sweeps would exceed ``budget``.
-
-    Needs a kernel with no empty row, as every stochastic kernel is:
-    ``np.maximum.reduceat`` reads an empty row as the next row's first entry.
-    """
+def _absorbing_sinks(kernel: TransitionKernel) -> tuple[np.ndarray | None, int]:
+    """``_marking`` on a kernel's rows, from its absorbing states in
+    increasing order, those whose row holds only their self-loop; needs a
+    kernel with no empty row, as ``_colored_sinks`` does."""
     indptr, indices = kernel.indptr, kernel.indices
-    states = np.arange(kernel.num_states)
-    sweeps = 0
+    single = np.flatnonzero(np.diff(indptr) == 1)
+    absorbing = single[indices[indptr[single]] == single]
+    return _marking(
+        absorbing,
+        kernel.num_states,
+        lambda marked: np.logical_or.reduceat(marked[indices], indptr[:-1]),
+    )
 
-    # (a) color[v] becomes the largest state reachable from v, and is always
-    # a state v reaches, so color[color[v]] is one too.  A root
-    # (color[v] == v) reaches nothing above itself.
-    color = states
+
+def _colors(
+    num_states: int, highest: Callable[[np.ndarray], np.ndarray], budget: int
+) -> tuple[np.ndarray | None, int]:
+    """Step (a) of the coloring: ``color[v]`` becomes the largest state
+    reachable from v, or None once the sweeps would exceed ``budget``; with
+    the sweeps spent.  ``highest(color)`` gives the largest color among each
+    state's targets.  A color is always a state v reaches, so color[color[v]]
+    is one too.  A root (color[v] == v) reaches nothing above itself."""
+    color = np.arange(num_states)
+    sweeps = 0
     while True:
         if sweeps == budget:
-            return None
+            return None, sweeps
         sweeps += 1
-        grown = np.maximum(color, np.maximum.reduceat(color[indices], indptr[:-1]))
+        grown = np.maximum(color, highest(color))
         np.maximum(grown, grown[grown], out=grown)
         if np.array_equal(grown, color):
-            break
+            return color, sweeps
         color = grown
 
-    # (b) The states a root reaches without changing color are the ones that
-    # also reach it back: exactly the root's SCC.  The label spread from a
-    # root is its color, so one flag per state carries it.
-    tails = np.repeat(states, np.diff(indptr))
-    inside = color[tails] == color[indices]
-    leaves = np.zeros(kernel.num_states, dtype=bool)
-    leaves[tails[~inside]] = True
-    tails, heads = tails[inside], indices[inside]
-    reached = color == states
+
+def _rooted_sinks(
+    color: np.ndarray,
+    inside: Callable[[np.ndarray], np.ndarray],
+    leaves: np.ndarray,
+    budget: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Steps (b) and (c) of the coloring, from the colors of step (a): the
+    sinks as ``_sink_partition`` gives them, or None once the sweeps would
+    exceed ``budget``.
+
+    (b) The states a root reaches without changing color are the ones that
+    also reach it back: exactly the root's SCC.  ``inside(frontier)`` gives
+    the targets of the frontier's edges that keep their color.  The label
+    spread from a root is its color, so one flag per state carries it.
+    (c) A root heads a sink when no state of its SCC is one of the
+    ``leaves``, the states with an edge to another color.
+    """
+    num_states = color.size
+    reached = color == np.arange(num_states)
     frontier = reached.copy()
+    sweeps = 0
     while True:
         if sweeps == budget:
             return None
         sweeps += 1
-        hits = heads[frontier[tails]]
+        hits = inside(frontier)
         hits = hits[~reached[hits]]
         if not hits.size:
             break
         reached[hits] = True
-        frontier = np.zeros(kernel.num_states, dtype=bool)
+        frontier = np.zeros(num_states, dtype=bool)
         frontier[hits] = True
 
-    # (c) A root heads a sink when no state of its SCC has an edge to
-    # another color.
-    escapes = np.zeros(kernel.num_states, dtype=bool)
+    escapes = np.zeros(num_states, dtype=bool)
     escapes[color[reached & leaves]] = True
     members = np.flatnonzero(reached & ~escapes[color])
     # Members are increasing, so each sink's first one is its smallest; a
@@ -209,18 +230,89 @@ def _colored_sinks(kernel: Kernel, budget: int) -> tuple[np.ndarray, np.ndarray]
     return members[order], np.bincount(group)[np.argsort(firsts)]
 
 
-def _sink_partition(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+def _colored_sinks(
+    kernel: TransitionKernel, budget: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sinks by reachability coloring (Orzan 2004) with pointer jumping
+    (Shiloach & Vishkin 1982), as ``_sink_partition`` gives them, or None
+    once the sweeps would exceed ``budget``.
+
+    Needs a kernel with no empty row, as every stochastic kernel is:
+    ``np.maximum.reduceat`` reads an empty row as the next row's first entry.
+    """
+    indptr, indices = kernel.indptr, kernel.indices
+    color, sweeps = _colors(
+        kernel.num_states, lambda color: np.maximum.reduceat(color[indices], indptr[:-1]), budget
+    )
+    if color is None:
+        return None
+    tails = np.repeat(np.arange(kernel.num_states), np.diff(indptr))
+    inside = color[tails] == color[indices]
+    leaves = np.zeros(kernel.num_states, dtype=bool)
+    leaves[tails[~inside]] = True
+    tails, heads = tails[inside], indices[inside]
+    return _rooted_sinks(color, lambda frontier: heads[frontier[tails]], leaves, budget - sweeps)
+
+
+def _sink_partition(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     """``sink_components`` as arrays: every sink's states laid end to end,
     sink after sink, and the sinks' sizes."""
     absorbing, spent = _absorbing_sinks(kernel)
     if absorbing is not None:
         return absorbing, np.ones(absorbing.size, dtype=np.int64)
     found = _colored_sinks(kernel, _SWEEP_BUDGET - spent)
-    if found is None:
-        # Sinks are disjoint, so tuples sort by their smallest state.
-        sinks = sorted(_tarjan_sinks(kernel))
-        found = np.fromiter(chain.from_iterable(sinks), np.int64), np.array(list(map(len, sinks)))
-    return found
+    return _tarjan_partition(kernel) if found is None else found
+
+
+def _tarjan_partition(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """``_sink_partition`` from ``_tarjan_sinks``."""
+    # Sinks are disjoint, so tuples sort by their smallest state.
+    sinks = sorted(_tarjan_sinks(kernel))
+    return np.fromiter(chain.from_iterable(sinks), np.int64), np.array(list(map(len, sinks)))
+
+
+def _fiber_sinks(fibers: BestResponseFibers) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_sink_partition`` of the kernel whose best-response fibers are
+    ``fibers``, read from the fibers with no edge list, or None once the
+    sweeps would exceed ``_SWEEP_BUDGET``.
+
+    Every state of a fiber has an edge to each best response of the fiber,
+    so a sweep reduces over each fiber's best responses, then over each
+    state's n fibers; it marks and colors what a sweep over the edges does,
+    and the marking and step (a) spend the sweeps they spend there.  The
+    best responses of a fiber form a clique, so after step (a) they share
+    one color, the fiber's, which is at most the color of each state of the
+    fiber.  So a state's edges on a player's turn keep its color exactly
+    when the state has the color of the player's fiber through it, and
+    otherwise they all lead to a smaller color.
+    """
+    targets, fiber = fibers.targets, fibers.fiber
+    n, num_states = fiber.shape
+    # A state is absorbing when it is the only best response of each of its
+    # n fibers.
+    single = targets[0][(targets == targets[0]).all(axis=0)]
+    absorbing = np.flatnonzero(np.bincount(single, minlength=num_states) == n)
+    found, spent = _marking(
+        absorbing, num_states, lambda marked: marked[targets].any(axis=0)[fiber].any(axis=0)
+    )
+    if found is not None:
+        return found, np.ones(found.size, dtype=np.int64)
+    color, sweeps = _colors(
+        num_states,
+        lambda color: color[targets].max(axis=0)[fiber].max(axis=0),
+        _SWEEP_BUDGET - spent,
+    )
+    if color is None:
+        return None
+    top = color[targets[0]]
+    keeps = color == top[fiber]
+
+    def inside(frontier: np.ndarray) -> np.ndarray:
+        hit = np.zeros(top.size, dtype=bool)
+        hit[fiber[keeps & frontier]] = True
+        return targets[:, hit].ravel()
+
+    return _rooted_sinks(color, inside, ~keeps.all(axis=0), _SWEEP_BUDGET - spent - sweeps)
 
 
 def sink_components(kernel: TransitionKernel) -> list[tuple[int, ...]]:
@@ -280,18 +372,80 @@ def _support_rows(
     return rows, sizes
 
 
-def _support_triples(kernel: Kernel, rows: np.ndarray, sizes: np.ndarray) -> Triples:
+def _support_triples(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> Triples:
     """Entries of the chain on supports laid end to end, ``sizes`` states
     each in increasing order, gathered from the kernel's CSR rows in row
-    order.  Refuses supports that share a state or that an edge leaves."""
+    order."""
     starts = kernel.indptr[rows]
     lengths = kernel.indptr[rows + 1] - starts
     # CSR positions of every entry in the supports' rows, row after row.
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     edge = np.arange(offsets.size) + offsets
-    targets = kernel.indices[edge]
+    return _local_triples(
+        rows, sizes, lengths, kernel.indices[edge], kernel.probs[edge], kernel.num_states
+    )
+
+
+def _fiber_triples(fibers: BestResponseFibers, rows: np.ndarray, sizes: np.ndarray) -> Triples:
+    """``_support_triples`` of the kernel whose best-response fibers are
+    ``fibers``, bit for bit, from ``_fiber_rows``."""
+    return _local_triples(rows, sizes, *_fiber_rows(fibers, rows), fibers.fiber.shape[1])
+
+
+def _fiber_rows(
+    fibers: BestResponseFibers, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the kernel rows ``rows`` of the best-response fibers,
+    as ``stacked_kernel`` gives them: each row's entry count, then every
+    entry's target and probability, row after row.
+
+    Within a game, player i's targets of state v lie within ``(c_i - 1) s_i
+    < s_{i+1}`` of v, so a row lists in increasing order, with no sort, the
+    targets of players n - 1 down to 0 below v, then v, then those of
+    players 0 up to n - 1 above v.  Each of these parts is a run of one
+    fiber's best responses, or v, so one gather reads them all.  A player's
+    share is ``1 / (n |B|)`` for its fiber's best responses B; v's
+    self-loop adds the shares of the players whose action at v is a best
+    response, in player order."""
+    n = fibers.fiber.shape[0]
+    best = fibers.best
+    count = best.sum(axis=0)
+    share = 1.0 / (n * count)
+    # Every fiber's best responses in slot order, fiber after fiber, then
+    # the rows' own states, with their probabilities but the self-loops'.
+    pool = np.concatenate([fibers.targets.T[best.T], rows])
+    columns, actions = fibers.fiber.T[rows], fibers.action.T[rows]
+    looped = best[actions, columns]
+    below = (np.cumsum(best, axis=0) - best)[actions, columns]
+    first = (np.cumsum(count) - count)[columns]
+    diag = np.zeros(rows.size)
+    for player in range(n):
+        diag += np.where(looped[:, player], share[columns[:, player]], 0.0)
+    own = pool.size - rows.size + np.arange(rows.size)
+    # Each row's parts: where in the pool each starts, and its length.
+    starts = np.concatenate([first[:, ::-1], own[:, None], first + below + looped], axis=1).ravel()
+    lengths = np.concatenate(
+        [below[:, ::-1], (diag > 0)[:, None], count[columns] - below - looped], axis=1
+    ).ravel()
+    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    probs = np.concatenate([np.repeat(share, count), diag])
+    return lengths.reshape(rows.size, 2 * n + 1).sum(axis=1), pool[at], probs[at]
+
+
+def _local_triples(
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    lengths: np.ndarray,
+    targets: np.ndarray,
+    probs: np.ndarray,
+    num_states: int,
+) -> Triples:
+    """The entries ``targets`` and ``probs`` of ``rows``, ``lengths`` each
+    row after row, on the supports' local columns, where the supports are
+    ``rows`` laid end to end, ``sizes`` states each.  Refuses supports that
+    share a state or that an edge leaves."""
     # Local column of every state, -1 outside the supports.
-    local = np.full(kernel.num_states, -1)
+    local = np.full(num_states, -1)
     positions = np.arange(rows.size)
     local[rows] = positions
     shared = np.flatnonzero(local[rows] != positions)
@@ -306,7 +460,7 @@ def _support_triples(kernel: Kernel, rows: np.ndarray, sizes: np.ndarray) -> Tri
             f"support is not closed: {np.repeat(rows, lengths)[first]} -> "
             f"{targets[first]} leaves it"
         )
-    return lengths, cols, kernel.price(edge)
+    return lengths, cols, probs
 
 
 def _left_product(pi: np.ndarray, triples: Triples) -> np.ndarray:
@@ -425,11 +579,15 @@ def stationary_distributions(
     return np.split(pi, np.cumsum(sizes)[:-1])
 
 
-def _stationary(kernel: Kernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _stationary(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``stationary_distributions`` of supports laid end to end, ``sizes``
     states each in increasing order, as one array laid out alike; the
     states are taken as distinct states of the kernel."""
-    triples = _support_triples(kernel, rows, sizes)
+    return _solve(_support_triples(kernel, rows, sizes), rows, sizes)
+
+
+def _solve(triples: Triples, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``_stationary`` of the supports' entries ``triples``."""
     multi = sizes > 1
     d = _diagonal(triples, rows.size)
     stuck = np.flatnonzero(np.repeat(multi, sizes) & (d >= 1.0))
@@ -459,19 +617,19 @@ def _stationary(kernel: Kernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarr
 
 
 def _expected_welfare(
-    kernel: Kernel,
     members: np.ndarray,
     sizes: np.ndarray,
     welfare: np.ndarray,
-    pi: np.ndarray | None = None,
+    stationary: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Expected welfare of each sink of ``_sink_partition``, under the
-    stationary vectors ``pi`` laid out alike, solved here when not given: a
-    sink's ``math.fsum`` clamped to its welfare range, as pi may sum to one
-    only up to rounding.  A sink whose welfare is constant takes that value
-    under any distribution, so its vector is neither read nor solved; a
-    sum of zeros is +0.0, as ``math.fsum`` gives, and a one-state sink's
-    value is its state's welfare."""
+    """Expected welfare of each sink of ``_sink_partition``: a sink's
+    ``math.fsum`` under its stationary vector, clamped to its welfare range,
+    as the vector may sum to one only up to rounding.  ``stationary(varying)``
+    gives the vectors of the sinks flagged in ``varying``, laid end to end.
+    A sink whose welfare is constant takes that value under any
+    distribution, so its vector is neither asked for nor read; a sum of
+    zeros is +0.0, as ``math.fsum`` gives, and a one-state sink's value is
+    its state's welfare."""
     values = welfare[members]
     starts = np.cumsum(sizes) - sizes
     lows = np.minimum.reduceat(values, starts)
@@ -482,12 +640,7 @@ def _expected_welfare(
     varying = lows < highs
     if not varying.any():
         return expected
-    solved = np.repeat(varying, sizes)
-    if pi is None:
-        pi = _stationary(kernel, members[solved], sizes[varying])
-    else:
-        pi = pi[solved]
-    terms = (pi * values[solved]).tolist()
+    terms = (stationary(varying) * values[np.repeat(varying, sizes)]).tolist()
     ends = np.cumsum(sizes[varying]).tolist()
     sums = [math.fsum(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
     ranges = zip(sums, lows[varying].tolist(), highs[varying].tolist())
@@ -503,7 +656,9 @@ def sink_equilibria(
     kernel = build_kernel(game, mode=mode, tie_tol=tie_tol)
     members, sizes = _sink_partition(kernel)
     pi = _stationary(kernel, members, sizes)
-    expected = _expected_welfare(kernel, members, sizes, game.welfare, pi)
+    expected = _expected_welfare(
+        members, sizes, game.welfare, lambda varying: pi[np.repeat(varying, sizes)]
+    )
     pi.setflags(write=False)
     sinks = zip(_sink_tuples(members, sizes), np.split(pi, np.cumsum(sizes)[:-1]))
     return [SinkEquilibrium(*sink, value) for sink, value in zip(sinks, expected.tolist())]
@@ -522,19 +677,29 @@ def price_of_sinking(
 def batch_prices(counts: np.ndarray, welfare: np.ndarray, utilities: np.ndarray) -> list[float]:
     """Best-response ``price_of_sinking`` of each of one or more games, given
     by their action counts, one row per game, and their checked tables laid
-    end to end: one kernel, sink search and solve for all, exact for each.
-    The search reads the unpriced ``stacked_edges``; only sinks whose
-    welfare varies are solved, and only their rows priced.  A sink of
-    constant welfare takes no solve, and so no residual is certified for
-    it: no vector of it is read."""
+    end to end: one sink search and solve for all, exact for each.  The
+    search reads the games' best-response fibers (``best_response_fibers``)
+    and builds no edge list; only when it spends ``_SWEEP_BUDGET`` is the
+    kernel built, for ``_tarjan``.  Only sinks whose welfare varies are
+    solved, on their rows alone, built from the fibers.  A sink of constant
+    welfare takes no solve, and so no residual is certified for it: no
+    vector of it is read."""
     sizes = counts.prod(axis=1)
     ends = np.cumsum(sizes)
     optima = np.maximum.reduceat(welfare, ends - sizes)
     if not np.all(optima > 0.0):
         raise DegenerateWelfareError("optimal welfare is zero")
-    edges = stacked_edges(counts, utilities)
-    members, sinks = _sink_partition(edges)
-    expected = _expected_welfare(edges, members, sinks, welfare)
+    fibers = best_response_fibers(counts, utilities)
+    found = _fiber_sinks(fibers)
+    if found is None:
+        found = _tarjan_partition(stacked_kernel(counts, utilities))
+    members, sinks = found
+
+    def stationary(varying: np.ndarray) -> np.ndarray:
+        rows, lengths = members[np.repeat(varying, sinks)], sinks[varying]
+        return _solve(_fiber_triples(fibers, rows, lengths), rows, lengths)
+
+    expected = _expected_welfare(members, sinks, welfare, stationary)
     # Sinks come ordered by their smallest state, so game by game, and
     # every game has one.
     game = np.searchsorted(ends, members[np.cumsum(sinks) - sinks], side="right")

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinkeq import sinks
 from sinkeq.dynamics import (
     BEST,
     BETTER,
+    best_response_fibers,
     build_kernel,
     is_singleton_br,
-    stacked_edges,
     stacked_kernel,
 )
 from sinkeq.errors import InvalidParametersError
@@ -263,55 +264,51 @@ class TestBatchKernel:
             assert str(alone.value) == message
 
 
-def assert_prices_as_the_kernel(counts, utilities, mode, tie_tol, rng):
-    """``stacked_edges`` has the structure of ``stacked_kernel`` and prices
-    every edge, and any positions in any order, as its ``probs`` give them,
-    byte for byte."""
-    edges = stacked_edges(counts, utilities, mode, tie_tol)
-    kernel = stacked_kernel(counts, utilities, mode, tie_tol)
-    assert edges.indptr.tobytes() == kernel.indptr.tobytes()
-    assert edges.indices.tobytes() == kernel.indices.tobytes()
-    priced = edges.price(slice(None))
-    assert priced.dtype == kernel.probs.dtype and priced.tobytes() == kernel.probs.tobytes()
-    # A few whole rows, as a solve gathers them, then scattered positions.
-    rows = rng.permutation(kernel.num_states)[:5]
-    positions = [np.arange(kernel.indptr[r], kernel.indptr[r + 1]) for r in rows]
-    positions.append(rng.integers(0, kernel.indices.size, size=7))
-    for at in positions:
-        assert edges.price(at).tobytes() == kernel.probs[at].tobytes()
+def assert_fiber_rows_as_the_kernel(counts, utilities):
+    """The best-mode rows that ``best_response_fibers`` gives, as
+    ``batch_prices`` builds them, against those of ``stacked_kernel``, byte
+    for byte: every row, the whole batch read as one closed support, then
+    the rows of each sink, and no rows at all."""
+    kernel = stacked_kernel(counts, utilities, BEST)
+    fibers = best_response_fibers(counts, utilities)
+    everything = np.arange(kernel.num_states), np.array([kernel.num_states])
+    nothing = np.arange(0), np.arange(0)
+    for rows, sizes in (everything, sinks._sink_partition(kernel), nothing):
+        want = sinks._support_triples(kernel, rows, sizes)
+        got = sinks._fiber_triples(fibers, rows, sizes)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-class TestEdgePricing:
-    """The unpriced edges and their pricing against ``stacked_kernel``."""
+class TestFiberRows:
+    """Kernel rows built from the best-response fibers against
+    ``stacked_kernel``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        game_batches(),
-        st.sampled_from([BEST, BETTER]),
-        st.sampled_from([0.0, 0.25, 0.6]),
-        st.integers(0, 2**32),
-    )
-    def test_random_batches(self, games, mode, tie_tol, seed):
-        counts, _, utilities = stacked_tables(games)
-        assert_prices_as_the_kernel(counts, utilities, mode, tie_tol, philox_rng(seed, 0))
+    @given(game_batches())
+    def test_random_batches(self, games):
+        assert_fiber_rows_as_the_kernel(*stacked_tables(games)[::2])
 
     def test_covering_batches(self):
         # The benchmark's covering-mc batches, ragged (an agent with a
-        # repeated option) and not.
-        spec, rng, ragged = CoveringMonteCarloSpec(4, 8, 0.01, 0.01), philox_rng(1, 0), set()
-        for counts, _, utilities in spec.batches(range(50), 5, philox_generator()):
-            ragged.add(bool((counts != counts[0]).any()))
-            assert_prices_as_the_kernel(counts, utilities, BEST, 0.0, rng)
+        # repeated option) and not, and batches whose sinks' welfare varies.
+        ragged = set()
+        for spec in (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), CoveringMonteCarloSpec(4, 8, 0, 1)):
+            for counts, _, utilities in spec.batches(range(50), 5, philox_generator()):
+                ragged.add(bool((counts != counts[0]).any()))
+                assert_fiber_rows_as_the_kernel(counts, utilities)
         assert ragged == {False, True}
 
     def test_radio_and_random_games(self):
         rng = philox_rng(2, 0)
-        radio = [make_radio_game(sample_radio_instance(6, 0.8, seed)) for seed in range(3)]
+        # Eight players add eight shares into a self-loop, in player order.
+        radio = [
+            make_radio_game(sample_radio_instance(n, 0.8, seed))
+            for n, seed in ((6, 0), (6, 1), (8, 2))
+        ]
         mixed = [sample_random_game(rng, (3, 4, 2)), sample_random_game(rng, (2, 2, 5))]
-        for games in (radio, radio[:1], mixed, mixed[1:]):
-            counts, _, utilities = stacked_tables(games)
-            for mode, tie_tol in ((BEST, 0.0), (BETTER, 0.0), (BEST, 0.1)):
-                assert_prices_as_the_kernel(counts, utilities, mode, tie_tol, rng)
+        for games in (radio[:2], radio[2:], mixed, mixed[1:]):
+            assert_fiber_rows_as_the_kernel(*stacked_tables(games)[::2])
 
 
 class TestSingletonCheck:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sinkeq.generators as generators
 import sinkeq.sinks as sinks
 import sinkeq.streams as streams
-from sinkeq.dynamics import BEST, build_kernel
+from sinkeq.dynamics import BEST, build_kernel, stacked_kernel
 from sinkeq.errors import (
     DegenerateWelfareError,
     GameAnalysisError,
@@ -1048,6 +1048,50 @@ class TestBatchPrices:
         want, _ = price_of_sinking(game, BEST)
         got = generators.batch_prices(*stacked_tables([game]))
         assert np.array(got).tobytes() == np.array([want]).tobytes() == np.array([0.0]).tobytes()
+
+
+class TestBatchPriceWork:
+    """What ``batch_prices`` builds: no kernel, and kernel rows only for the
+    states of the sinks whose welfare varies."""
+
+    def test_constant_sinks_build_no_kernel_and_no_rows(self, monkeypatch):
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+        batches = list(spec.batches(range(50), 5, philox_generator()))
+        want = [generators.batch_prices(*batch) for batch in batches]
+
+        def refuse(*args):
+            raise AssertionError("built a kernel or kernel rows")
+
+        for name in ("stacked_kernel", "_support_triples", "_fiber_triples"):
+            monkeypatch.setattr(sinks, name, refuse)
+        assert [generators.batch_prices(*batch) for batch in batches] == want
+
+    def test_varying_sinks_build_only_their_rows(self, monkeypatch):
+        built, fiber_triples = [], sinks._fiber_triples
+
+        def counted(fibers, rows, sizes):
+            built.append(rows.size)
+            return fiber_triples(fibers, rows, sizes)
+
+        def refuse(*args):
+            raise AssertionError("built a kernel")
+
+        total = 0
+        spec = CoveringMonteCarloSpec(4, 8, 0.0, 1.0)
+        for counts, welfare, utilities in spec.batches(range(50), 5, philox_generator()):
+            members, sizes = sinks._sink_partition(stacked_kernel(counts, utilities))
+            starts = np.cumsum(sizes) - sizes
+            values = welfare[members]
+            varying = np.minimum.reduceat(values, starts) < np.maximum.reduceat(values, starts)
+            with monkeypatch.context() as patch:
+                patch.setattr(sinks, "_fiber_triples", counted)
+                patch.setattr(sinks, "stacked_kernel", refuse)
+                built.clear()
+                generators.batch_prices(counts, welfare, utilities)
+            states = int(sizes[varying].sum())
+            assert built == ([states] if states else [])
+            total += states
+        assert total > 0
 
 
 class TestSeedPlumbing:

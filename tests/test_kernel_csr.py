@@ -12,12 +12,14 @@ from sinkeq.dynamics import (
     BEST,
     BETTER,
     TransitionKernel,
+    best_response_fibers,
     build_kernel,
     stacked_kernel,
 )
-from sinkeq.game import NormalFormGame, enumerate_nash
+from sinkeq.game import NormalFormGame, enumerate_nash, stacked_tables
 from sinkeq.generators import (
     CoveringMonteCarloSpec,
+    RadioMonteCarloSpec,
     make_covering_game,
     make_radio_game,
     philox_rng,
@@ -25,7 +27,7 @@ from sinkeq.generators import (
     sample_radio_instance,
     sample_random_game,
 )
-from sinkeq.sinks import _tarjan, sink_components, stationary_distributions
+from sinkeq.sinks import _tarjan, price_of_sinking, sink_components, stationary_distributions
 from sinkeq.streams import philox_generator
 
 from reference_kernels import row, stack_kernels
@@ -214,6 +216,40 @@ def test_long_staircase_takes_the_tarjan_fallback(monkeypatch):
     assert (63 + 63 * 64,) in found
 
 
+def test_long_staircase_spends_the_fiber_budget_then_takes_tarjan(monkeypatch):
+    # The fiber search marks as the edge search does, so it too spends the
+    # whole budget on the staircase's marking; ``batch_prices`` then builds
+    # the kernel for one Tarjan pass.
+    game = staircase_game(64)
+    want, _ = price_of_sinking(game, BEST)
+    spent = []
+
+    def counted(*args):
+        found, sweeps = marking(*args)
+        spent.append(sweeps)
+        return found, sweeps
+
+    marking = sinks._marking
+    monkeypatch.setattr(sinks, "_marking", counted)
+    calls = count_tarjan_calls(monkeypatch)
+    got = sinks.batch_prices(*stacked_tables([game]))
+    assert spent == [sinks._SWEEP_BUDGET]
+    assert calls == [game.num_profiles]
+    assert np.array(got).tobytes() == np.array([want]).tobytes()
+
+
+def test_short_staircase_in_a_covering_batch_settles_without_tarjan(monkeypatch):
+    games = [staircase_game(8)] + [
+        make_covering_game(sample_covering_instance(2, 8, 0.0, 1.0, trial_seed(5, trial)))
+        for trial in range(6)
+    ]
+    want = [price_of_sinking(game, BEST)[0] for game in games]
+    calls = count_tarjan_calls(monkeypatch)
+    got = sinks.batch_prices(*stacked_tables(games))
+    assert calls == []
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("length", [1_000, 10_000])
 def test_long_rising_path_finishes_in_the_coloring(monkeypatch, length):
     # Each state moves to the next, up to a two-state sink at the end: no
@@ -371,6 +407,71 @@ def test_sink_partition_arrays():
             if len(support) > 1:
                 alone = stationary_distributions(kernel, [support])[0]
                 assert vector.tobytes() == alone.tobytes(), name
+
+
+def fiber_search_batches():
+    """Batches as ``batch_prices`` reads them: the covering batches of
+    master seeds 5-9 in the benchmark setting and one whose sinks' welfare
+    varies, the ``radio-mc --n 8`` batches, both staircases and each corpus
+    game alone."""
+    for spec in (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), CoveringMonteCarloSpec(4, 8, 0, 1)):
+        for master in range(5, 10):
+            for batch, (counts, _, utilities) in enumerate(
+                spec.batches(range(50), master, philox_generator())
+            ):
+                yield f"covering-{spec.bias}-{master}-{batch}", counts, utilities
+    spec = RadioMonteCarloSpec(8, 0.8)
+    for batch, (counts, _, utilities) in enumerate(spec.batches(range(50), 5, philox_generator())):
+        yield f"radio-8-{batch}", counts, utilities
+    for m in (8, 64):
+        counts, _, utilities = stacked_tables([staircase_game(m)])
+        yield f"staircase-{m}", counts, utilities
+    for i, game in enumerate(GAMES):
+        counts, _, utilities = stacked_tables([game])
+        yield f"corpus-{i}", counts, utilities
+
+
+def test_fiber_search_arrays():
+    ragged, fallbacks = set(), []
+    for name, counts, utilities in fiber_search_batches():
+        ragged.add(bool((counts != counts[0]).any()))
+        found = sinks._fiber_sinks(best_response_fibers(counts, utilities))
+        want = sinks._sink_partition(stacked_kernel(counts, utilities, BEST))
+        if found is None:
+            fallbacks.append(name)
+            continue
+        for got, array in zip(found, want):
+            assert got.dtype == array.dtype == np.int64, name
+            assert got.tobytes() == array.tobytes(), name
+    # Only the long staircase spends the budget.
+    assert fallbacks == ["staircase-64"]
+    assert ragged == {False, True}
+
+
+@st.composite
+def tied_batches(draw):
+    """One to four games that share a player count, with utilities in {0,
+    1, 2}, so that ties, and with them multi-state sinks, are everywhere."""
+    n = draw(st.integers(1, 3))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        counts = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        total = int(np.prod(counts))
+        values = draw(st.lists(st.integers(0, 2), min_size=n * total, max_size=n * total))
+        u = np.array(values, dtype=float).reshape(n, total)
+        batch.append(NormalFormGame(counts, u.sum(axis=0) + 1.0, u))
+    return batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_batches())
+def test_fiber_search_agrees_with_networkx(games):
+    counts, _, utilities = stacked_tables(games)
+    kernel = stacked_kernel(counts, utilities, BEST)
+    found = sinks._fiber_sinks(best_response_fibers(counts, utilities))
+    assert sinks._sink_tuples(*found) == networkx_sinks(kernel)
+    for got, want in zip(found, sinks._sink_partition(kernel)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite
