@@ -165,12 +165,15 @@ def stacked_kernel(
     return kernel
 
 
-def best_response_fibers(counts: np.ndarray, utilities: np.ndarray) -> BestResponseFibers:
-    """The fibers of ``stacked_kernel(counts, utilities)``, best mode with
-    ``tie_tol`` 0, with no edge built: one pass per player over every game,
-    as in ``stacked_kernel``, over the fibers' first states, where the
-    player takes action 0.  Its best responses are those of the kernel, bit
-    for bit."""
+def best_response_fibers(
+    counts: np.ndarray, utilities: np.ndarray, rows: np.ndarray
+) -> BestResponseFibers:
+    """The fibers of ``stacked_kernel(counts, utilities[:, rows])``, best
+    mode with ``tie_tol`` 0, with no edge built: state v reads its payoffs
+    from column ``rows[v]`` of ``utilities``.  One pass per player runs over
+    every game, as in ``stacked_kernel``, over the fibers' first states,
+    where the player takes action 0.  Its best responses are those of the
+    kernel, bit for bit."""
     sizes = counts.prod(axis=1)
     strides = np.cumprod(counts, axis=1) // counts
     num_states = int(sizes.sum())
@@ -200,7 +203,7 @@ def best_response_fibers(counts: np.ndarray, utilities: np.ndarray) -> BestRespo
         # already in the fiber, so the best payoff stays as it is.
         padded = slots >= c
         members = np.where(padded, heads, heads + s * slots)
-        val = utilities[player][members]
+        val = utilities[player][rows[members]]
         best[:, lo:hi] = mask = (val >= val.max(axis=0)) & ~padded
         # Members increase with the slot, so the first best response is the least.
         targets[:, lo:hi] = np.where(mask, members, np.where(mask, members, num_states).min(axis=0))

@@ -181,15 +181,6 @@ def check_entries(welfare: np.ndarray, utilities: np.ndarray) -> None:
         raise ValidationError("utility entries must be finite")
 
 
-def stacked_tables(games: Sequence[NormalFormGame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Action counts of games with one player count, one row per game, and
-    their tables laid end to end; a single game's tables are not copied."""
-    counts = np.array([game.action_counts for game in games])
-    if len(games) == 1:
-        return counts, games[0].welfare, games[0].utilities
-    return counts, np.hstack([g.welfare for g in games]), np.hstack([g.utilities for g in games])
-
-
 def optimal_profile(game: NormalFormGame) -> tuple[JointAction, float]:
     """Welfare-maximizing joint action; ties break to the smallest flat index."""
     flat = int(np.argmax(game.welfare))

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import GameAnalysisError, InvalidParametersError, ValidationError
-from .game import NormalFormGame, check_entries, stacked_tables
+from .game import NormalFormGame, check_entries
 from .sinks import batch_prices
 from .streams import philox_generator, rekeyed, spawn_states
 from .smoothness import additive_sinking_bound, multiplicative_sinking_bound
@@ -221,24 +221,30 @@ def make_covering_game(instance: CoveringInstance) -> NormalFormGame:
         np.fromiter(chain.from_iterable(options), dtype=np.int64, count=int(lengths.sum())),
     ] = True
     tables = np.vstack([instance.values, instance.estimates])[None]
-    columns = _covering_tables(tables, np.packbits(masks, axis=1), counts)
-    return NormalFormGame(tuple(counts[0].tolist()), columns[0], columns[1:])
+    columns, rows = _covering_tables(tables, np.packbits(masks, axis=1), counts)
+    full = np.take(columns, rows, axis=1)
+    return NormalFormGame(tuple(counts[0].tolist()), full[0], full[1:])
 
 
-def _covering_tables(tables: np.ndarray, bits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _covering_tables(
+    tables: np.ndarray, bits: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Welfare and utility tables of covering games over ``m`` regions laid
-    end to end, one row each, checked as ``NormalFormGame`` checks them.
-    Game g has ``counts[g, i]`` options for agent i, and ``tables[g]``, of
-    shape ``(1 + agents, m)``, of its values, then each agent's estimates;
-    ``bits`` packs every option's regions.
+    end to end, in the batch form ``batch_prices`` reads: the ``(1 +
+    agents, distinct)`` columns, one per distinct (game, union), welfare
+    then each agent's utility, checked as ``NormalFormGame`` checks them,
+    and ``rows``, the column of each profile.  Game g has ``counts[g, i]``
+    options for agent i, and ``tables[g]``, of shape ``(1 + agents, m)``,
+    of its values, then each agent's estimates; ``bits`` packs every
+    option's regions.
 
     Profiles share few distinct unions, so each distinct union of a game is
-    summed once and scattered back to its profiles.  Unions of k regions
-    are summed together: their entries of every table are gathered into one
-    C-contiguous ``(unions, tables, k)`` block and summed along its last
-    axis, which adds in the order of ``x[mask].sum()``.  An axis reduction
-    over a table of masks, or over a block whose last axis is strided, adds
-    in another order and moves the last bits.
+    summed once.  Unions of k regions are summed together: their entries of
+    every table are gathered into one C-contiguous ``(unions, tables, k)``
+    block and summed along its last axis, which adds in the order of
+    ``x[mask].sum()``.  An axis reduction over a table of masks, or over a
+    block whose last axis is strided, adds in another order and moves the
+    last bits.
     """
     (games, n), m = counts.shape, tables.shape[2]
     totals = []
@@ -264,9 +270,10 @@ def _covering_tables(tables: np.ndarray, bits: np.ndarray, counts: np.ndarray) -
     ids[:, :prefix] = np.arange(games, dtype=">u8")[:, None].view(np.uint8)[:, 8 - prefix :]
     keys = np.repeat(_words(ids, width), totals, axis=0)
     unions = _words(bits, width)
-    # Each agent's option count and first option row, at every profile.
-    radix = np.repeat(counts.T, totals, axis=1)
-    offset = np.repeat(firsts.T, totals, axis=1)
+    # Each agent's option count and first option row, at every profile, in
+    # the least bytes that hold them.
+    radix = np.repeat(counts.T.astype(np.min_scalar_type(counts.max())), totals, axis=1)
+    offset = np.repeat(firsts.T.astype(np.min_scalar_type(firsts.max())), totals, axis=1)
     for i in range(n):
         rest, digit = np.divmod(rest, radix[i])
         keys |= unions[offset[i] + digit]
@@ -305,11 +312,13 @@ def _covering_tables(tables: np.ndarray, bits: np.ndarray, counts: np.ndarray) -
                 sums[lo:hi] = tables[owner[lo:hi, None, None], layers, cols].sum(axis=-1)
                 at += (hi - lo) * k
             row += count
-    # Each profile's sums, back through the size order, one C-contiguous
-    # row each, which gathers read faster than strided ones.
-    columns = np.take(sums.T, np.argsort(by_size)[inverse], axis=1)
+    # The columns stay in the size order, each table one C-contiguous row,
+    # which gathers read faster than strided ones.
+    columns = np.ascontiguousarray(sums.T)
     check_entries(columns[0], columns[1:])
-    return columns
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[by_size] = np.arange(len(distinct))
+    return columns, rank[inverse]
 
 
 def sample_covering_instance(
@@ -529,30 +538,32 @@ _RADIO_BLOCK = 1 << 13
 
 def make_radio_game(instance: RadioInstance) -> NormalFormGame:
     """Each agent picks one of two channels; welfare totals the interference
-    weight avoided by every ordered pair on different channels.
-
-    The tables are built ``_RADIO_BLOCK`` states at a time, so the pair
-    table of a block, not of the whole game, bounds the memory; each
-    state's sums do not depend on the block."""
+    weight avoided by every ordered pair on different channels."""
     n = instance.num_agents
-    total = _checked_profiles(1 << n)
-    welfare = np.empty(total)
-    utilities = np.empty((n, total))
+    tables = np.empty((1 + n, _checked_profiles(1 << n)))
+    _radio_tables(instance, tables)
+    labels = tuple(("ch1", "ch2") for _ in range(n))
+    return NormalFormGame(
+        action_counts=(2,) * n,
+        welfare=tables[0],
+        utilities=tables[1:],
+        action_labels=labels,
+    )
+
+
+def _radio_tables(instance: RadioInstance, out: np.ndarray) -> None:
+    """Write the welfare table of ``make_radio_game``, then each agent's
+    utility table, into the rows of ``out``, ``_RADIO_BLOCK`` states at a
+    time, so the pair table of a block, not of the whole game, bounds the
+    memory; each state's sums do not depend on the block."""
+    n, total = instance.num_agents, out.shape[1]
     for lo in range(0, total, _RADIO_BLOCK):
         hi = min(total, lo + _RADIO_BLOCK)
         channels = (np.arange(lo, hi)[:, None] >> np.arange(n)[None, :]) & 1
         split = channels[:, :, None] != channels[:, None, :]
-        welfare[lo:hi] = np.einsum("alj,lj->a", split, instance.weights)
+        out[0, lo:hi] = np.einsum("alj,lj->a", split, instance.weights)
         for i in range(n):
-            utilities[i, lo:hi] = np.einsum("alj,lj->a", split, instance.estimates[i])
-
-    labels = tuple(("ch1", "ch2") for _ in range(n))
-    return NormalFormGame(
-        action_counts=(2,) * n,
-        welfare=welfare,
-        utilities=utilities,
-        action_labels=labels,
-    )
+            out[1 + i, lo:hi] = np.einsum("alj,lj->a", split, instance.estimates[i])
 
 
 def radio_sinking_bound(num_agents: int, alpha: float) -> float:
@@ -612,7 +623,8 @@ class CoveringMonteCarloSpec:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """``trials`` in batches as ``batch_prices`` reads them, drawn, built
         and checked as arrays: the option bits of up to ``_KEY_CHUNK`` trials
-        at a time, then each batch's estimates and tables."""
+        at a time, then each batch's estimates and its columns, one per
+        distinct (game, union)."""
         n, m, noise = self.num_agents, self.num_regions, (self.bias, self.scale)
         for _, keys in _trial_keys(trials, master_seed, self.streams):
             counts, bits = _option_draws(n, m, keys[:, 0], rng)
@@ -621,8 +633,7 @@ class CoveringMonteCarloSpec:
                 tables = np.ones((hi - lo, 1 + n, m))
                 tables[:, 1:] = _estimate_draws(n, np.ones(m), *noise, keys[lo:hi, 1], rng)
                 options, actions = bits[rows[lo] : rows[hi]], counts[lo:hi]
-                columns = _covering_tables(tables, options, actions)
-                yield actions, columns[0], columns[1:]
+                yield (actions, *_covering_tables(tables, options, actions))
 
 
 @dataclass(frozen=True)
@@ -640,18 +651,28 @@ class RadioMonteCarloSpec:
     def batches(
         self, trials: range, master_seed: int, rng: np.random.Generator
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``trials`` in batches as ``batch_prices`` reads them, of games drawn
-        and built one by one; a batch ends when the next 2^n states would not fit."""
-        n, games = self.num_agents, []
+        """``trials`` in batches as ``batch_prices`` reads them, of instances
+        drawn one by one, whose tables are written side by side, one column
+        per state; a batch ends when the next 2^n states would not fit."""
+        n, instances = self.num_agents, []
         for seeds, keys in _trial_keys(trials, master_seed, self.streams):
             for seed, key in zip(seeds, keys):
-                instance = _radio_instance(n, self.alpha, seed, rng=rekeyed(rng, key[0]))
-                games.append(make_radio_game(instance))
-                if (len(games) + 1) << n > _BATCH_STATES:
-                    yield stacked_tables(games)
-                    games = []
-        if games:
-            yield stacked_tables(games)
+                instances.append(_radio_instance(n, self.alpha, seed, rng=rekeyed(rng, key[0])))
+                if (len(instances) + 1) << n > _BATCH_STATES:
+                    yield _radio_batch(instances)
+                    instances = []
+        if instances:
+            yield _radio_batch(instances)
+
+
+def _radio_batch(instances: list[RadioInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch of ``make_radio_game`` of each of ``instances``, checked."""
+    n = instances[0].num_agents
+    tables = np.empty((1 + n, len(instances) << n))
+    for at, instance in enumerate(instances):
+        _radio_tables(instance, tables[:, at << n : (at + 1) << n])
+    check_entries(tables[0], tables[1:])
+    return np.full((len(instances), n), 2), tables, np.arange(tables.shape[1])
 
 
 @dataclass(frozen=True)
@@ -677,12 +698,12 @@ class MonteCarloSummary:
 
 
 # Most states a batch of Monte Carlo trials may hold; a larger trial is a
-# batch of its own.  One game build, one fiber build, one sink search and
+# batch of its own.  One table build, one fiber build, one sink search and
 # one stationary solve serve a whole batch, which saves the per-call costs
-# of small trials.  Time and peak memory of 50-trial covering-mc runs by
-# budget are in CHANGES.md: from 2^11 to 2^12 states ran fastest, and the
-# peak grows with the budget.
-_BATCH_STATES = 1 << 11
+# of small trials; the peak memory grows with the budget.  A covering batch
+# keeps one table column per distinct (game, union), not per state, which
+# pays for 2^12 states: time, peak and the 2^13 trial are in BENCH_26.json.
+_BATCH_STATES = 1 << 12
 
 
 # Trials whose seeds and stream keys one ``spawn_states`` pass derives.

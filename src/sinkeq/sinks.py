@@ -617,20 +617,17 @@ def _solve(triples: Triples, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _expected_welfare(
-    members: np.ndarray,
-    sizes: np.ndarray,
-    welfare: np.ndarray,
-    stationary: Callable[[np.ndarray], np.ndarray],
+    values: np.ndarray, sizes: np.ndarray, stationary: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Expected welfare of each sink of ``_sink_partition``: a sink's
-    ``math.fsum`` under its stationary vector, clamped to its welfare range,
-    as the vector may sum to one only up to rounding.  ``stationary(varying)``
+    """Expected welfare of each sink of ``_sink_partition``, given the
+    welfare ``values`` of its members: a sink's ``math.fsum`` under its
+    stationary vector, clamped to its welfare range, as the vector may sum
+    to one only up to rounding.  ``stationary(varying)``
     gives the vectors of the sinks flagged in ``varying``, laid end to end.
     A sink whose welfare is constant takes that value under any
     distribution, so its vector is neither asked for nor read; a sum of
     zeros is +0.0, as ``math.fsum`` gives, and a one-state sink's value is
     its state's welfare."""
-    values = welfare[members]
     starts = np.cumsum(sizes) - sizes
     lows = np.minimum.reduceat(values, starts)
     highs = np.maximum.reduceat(values, starts)
@@ -657,7 +654,7 @@ def sink_equilibria(
     members, sizes = _sink_partition(kernel)
     pi = _stationary(kernel, members, sizes)
     expected = _expected_welfare(
-        members, sizes, game.welfare, lambda varying: pi[np.repeat(varying, sizes)]
+        game.welfare[members], sizes, lambda varying: pi[np.repeat(varying, sizes)]
     )
     pi.setflags(write=False)
     sinks = zip(_sink_tuples(members, sizes), np.split(pi, np.cumsum(sizes)[:-1]))
@@ -674,32 +671,35 @@ def price_of_sinking(
     return worst.expected_welfare / wopt, worst
 
 
-def batch_prices(counts: np.ndarray, welfare: np.ndarray, utilities: np.ndarray) -> list[float]:
+def batch_prices(counts: np.ndarray, tables: np.ndarray, rows: np.ndarray) -> list[float]:
     """Best-response ``price_of_sinking`` of each of one or more games, given
-    by their action counts, one row per game, and their checked tables laid
-    end to end: one sink search and solve for all, exact for each.  The
-    search reads the games' best-response fibers (``best_response_fibers``)
-    and builds no edge list; only when it spends ``_SWEEP_BUDGET`` is the
-    kernel built, for ``_tarjan``.  Only sinks whose welfare varies are
-    solved, on their rows alone, built from the fibers.  A sink of constant
-    welfare takes no solve, and so no residual is certified for it: no
-    vector of it is read."""
+    by their action counts, one row per game, and their checked tables in
+    the batch form: ``tables`` holds welfare, then each player's utility,
+    one row each, and the games' states, laid end to end, read their
+    entries from columns ``rows``.  One sink search and solve serve all,
+    exact for each.  The search reads the games' best-response fibers
+    (``best_response_fibers``) and builds no edge list; only when it spends
+    ``_SWEEP_BUDGET`` is the kernel built, for ``_tarjan``.  Only sinks
+    whose welfare varies are solved, on their rows alone, built from the
+    fibers.  A sink of constant welfare takes no solve, and so no residual
+    is certified for it: no vector of it is read."""
     sizes = counts.prod(axis=1)
     ends = np.cumsum(sizes)
-    optima = np.maximum.reduceat(welfare, ends - sizes)
+    welfare, utilities = tables[0], tables[1:]
+    optima = np.maximum.reduceat(welfare[rows], ends - sizes)
     if not np.all(optima > 0.0):
         raise DegenerateWelfareError("optimal welfare is zero")
-    fibers = best_response_fibers(counts, utilities)
+    fibers = best_response_fibers(counts, utilities, rows)
     found = _fiber_sinks(fibers)
     if found is None:
-        found = _tarjan_partition(stacked_kernel(counts, utilities))
+        found = _tarjan_partition(stacked_kernel(counts, utilities[:, rows]))
     members, sinks = found
 
     def stationary(varying: np.ndarray) -> np.ndarray:
-        rows, lengths = members[np.repeat(varying, sinks)], sinks[varying]
-        return _solve(_fiber_triples(fibers, rows, lengths), rows, lengths)
+        states, lengths = members[np.repeat(varying, sinks)], sinks[varying]
+        return _solve(_fiber_triples(fibers, states, lengths), states, lengths)
 
-    expected = _expected_welfare(members, sinks, welfare, stationary)
+    expected = _expected_welfare(welfare[rows[members]], sinks, stationary)
     # Sinks come ordered by their smallest state, so game by game, and
     # every game has one.
     game = np.searchsorted(ends, members[np.cumsum(sinks) - sinks], side="right")

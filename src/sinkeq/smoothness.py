@@ -184,41 +184,63 @@ def best_certificate(
                                        "state has positive total deviation gain")
     with np.errstate(over="ignore"):
         floor = np.max(deviation[falling] / welfare[falling], initial=0.0)
-    if floor == math.inf:  # ratio 0 needs mu >= D(a) / W(a), a larger one more
-        rho, t = 0.0, 1.0 / floor
-    elif np.any(welfare[falling] == least):
-        rho = least / wopt * (1.0 - RATIO_TOL)
-        t = np.min((welfare[falling] - rho * wopt) / deviation[falling])
-    elif not falling.any():  # the envelope rises to its lowest flat line
-        level = welfare[deviation == 0.0].min()
-        rho = level / wopt
-        rising = deviation < 0.0
-        t = max(1.0, np.max((welfare[rising] - level) / deviation[rising], initial=0.0))
-    else:
-        # No pair comes back in exact arithmetic; rounding near concurrent
-        # lines could bring one back, and the walk stops there.
-        r, f = int(np.argmin(welfare)), int(np.argmax(deviation))
-        seen = set()
-        while True:
-            seen.add((r, f))
-            t = (welfare[f] - welfare[r]) / (deviation[f] - deviation[r])
-            values = welfare - t * deviation
-            low = int(np.argmin(values))
-            swapped = (r, low) if falling[low] else (low, f)
-            if not values[low] < min(values[r], values[f]) or swapped in seen:
-                break
-            r, f = swapped
-        # The crossing's height on the line that does not fall, whose two
-        # terms do not cancel.
-        rho = values[r] / wopt
+    # Each branch finds t = 1/mu.  A t past the float range can still have
+    # its mu in range, as deviations far below the welfare give it; such a
+    # mu is then found without t.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mu = float(1.0 / t)
+        if floor == math.inf:  # ratio 0 needs mu >= D(a) / W(a), a larger one more
+            rho, mu = 0.0, math.inf
+        elif np.any(welfare[falling] == least):
+            rho = least / wopt * (1.0 - RATIO_TOL)
+            gaps = welfare[falling] - rho * wopt
+            t = np.min(gaps / deviation[falling])
+            mu = 1.0 / t if t < math.inf else np.max(deviation[falling] / gaps)
+        elif not falling.any():  # the envelope rises to its lowest flat line
+            level = welfare[deviation == 0.0].min()
+            rho = level / wopt
+            below = (deviation < 0.0) & (welfare < level)
+            t = max(1.0, np.max((welfare[below] - level) / deviation[below], initial=0.0))
+            mu = 1.0 / t if t < math.inf else np.min(deviation[below] / (welfare[below] - level))
+        else:
+            t, height = _walk(welfare, deviation, falling)
+            mu = 1.0 / t
+            # Deviations scaled by 2^k walk the same lines to t / 2^k; k
+            # brings the largest deviation up to the optimum's exponent.
+            k = math.frexp(wopt)[1] - math.frexp(float(deviation.max()))[1]
+            if t == math.inf and k > 0:
+                t, height = _walk(welfare, np.ldexp(deviation, k), falling)
+                mu = math.ldexp(1.0 / t, -k)
+            rho = height / wopt
+        mu = float(mu)
         lam = float(rho) * mu
         if not (mu > 0.0 and np.all(np.isfinite(mu * welfare - lam * wopt - deviation))):
             raise NumericalFailureError(
                 f"smoothness certificate overflows the float range at ratio {float(rho)!r}"
             )
     return lam, mu, _certificate(game, lam, mu, optimum, deviation)
+
+
+def _walk(
+    welfare: np.ndarray, deviation: np.ndarray, falling: np.ndarray
+) -> tuple[float, float]:
+    """The crossing ``t`` where ``best_certificate``'s walk stops, and the
+    height there of its line that does not fall.
+
+    No pair comes back in exact arithmetic; rounding near concurrent lines
+    could bring one back, and the walk stops there."""
+    r, f = int(np.argmin(welfare)), int(np.argmax(deviation))
+    seen = set()
+    while True:
+        seen.add((r, f))
+        t = (welfare[f] - welfare[r]) / (deviation[f] - deviation[r])
+        values = welfare - t * deviation
+        low = int(np.argmin(values))
+        swapped = (r, low) if falling[low] else (low, f)
+        if not values[low] < min(values[r], values[f]) or swapped in seen:
+            break
+        r, f = swapped
+    # The height on the line that does not fall, whose two terms do not cancel.
+    return t, values[r]
 
 
 def additive_sinking_bound(lam_c: float, mu_c: float, num_players: int, beta: float) -> float:

@@ -1,11 +1,20 @@
 """Per-game kernel construction and block-diagonal stacking, kept as
 references for the batch kernel builder and for tests that stack kernels
-of any shape, with a per-state response-set oracle and a kernel row
-reader."""
+of any shape, with a per-state response-set oracle, a kernel row reader
+and the batch form of games' tables."""
 
 import numpy as np
 
 from sinkeq.dynamics import BEST, TransitionKernel
+
+
+def stacked_tables(games):
+    """Games with one player count in the batch form ``batch_prices`` reads:
+    their action counts, one row per game, their welfare and utility tables
+    laid end to end, one row each, and ``rows``, each state's own column."""
+    counts = np.array([game.action_counts for game in games])
+    tables = np.hstack([np.vstack([game.welfare, game.utilities]) for game in games])
+    return counts, tables, np.arange(tables.shape[1])
 
 
 def row(kernel, state):

@@ -15,7 +15,7 @@ from sinkeq.dynamics import (
     stacked_kernel,
 )
 from sinkeq.errors import InvalidParametersError
-from sinkeq.game import NormalFormGame, is_nash, stacked_tables
+from sinkeq.game import NormalFormGame, is_nash
 from sinkeq.generators import (
     CoveringMonteCarloSpec,
     counterexample_game,
@@ -26,7 +26,7 @@ from sinkeq.generators import (
 )
 from sinkeq.streams import philox_generator
 
-from reference_kernels import per_game_kernel, response_set, row, stack_kernels
+from reference_kernels import per_game_kernel, response_set, row, stack_kernels, stacked_tables
 
 
 def single_player(utility):
@@ -198,8 +198,8 @@ def game_batches(draw):
 def batch_kernel(games, mode, tie_tol=0.0):
     """The block-diagonal kernel of ``games``, built as ``run_monte_carlo``
     builds a batch's: ``stacked_kernel`` of their ``stacked_tables``."""
-    counts, _, utilities = stacked_tables(games)
-    return stacked_kernel(counts, utilities, mode, tie_tol)
+    counts, tables, _ = stacked_tables(games)
+    return stacked_kernel(counts, tables[1:], mode, tie_tol)
 
 
 class TestBatchKernel:
@@ -264,13 +264,14 @@ class TestBatchKernel:
             assert str(alone.value) == message
 
 
-def assert_fiber_rows_as_the_kernel(counts, utilities):
+def assert_fiber_rows_as_the_kernel(counts, tables, rows):
     """The best-mode rows that ``best_response_fibers`` gives, as
-    ``batch_prices`` builds them, against those of ``stacked_kernel``, byte
-    for byte: every row, the whole batch read as one closed support, then
-    the rows of each sink, and no rows at all."""
-    kernel = stacked_kernel(counts, utilities, BEST)
-    fibers = best_response_fibers(counts, utilities)
+    ``batch_prices`` builds them from a batch, against those of
+    ``stacked_kernel`` of every state's utilities, byte for byte: every row,
+    the whole batch read as one closed support, then the rows of each sink,
+    and no rows at all."""
+    kernel = stacked_kernel(counts, tables[1:, rows], BEST)
+    fibers = best_response_fibers(counts, tables[1:], rows)
     everything = np.arange(kernel.num_states), np.array([kernel.num_states])
     nothing = np.arange(0), np.arange(0)
     for rows, sizes in (everything, sinks._sink_partition(kernel), nothing):
@@ -287,16 +288,16 @@ class TestFiberRows:
     @settings(max_examples=200, deadline=None)
     @given(game_batches())
     def test_random_batches(self, games):
-        assert_fiber_rows_as_the_kernel(*stacked_tables(games)[::2])
+        assert_fiber_rows_as_the_kernel(*stacked_tables(games))
 
     def test_covering_batches(self):
         # The benchmark's covering-mc batches, ragged (an agent with a
         # repeated option) and not, and batches whose sinks' welfare varies.
         ragged = set()
         for spec in (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), CoveringMonteCarloSpec(4, 8, 0, 1)):
-            for counts, _, utilities in spec.batches(range(50), 5, philox_generator()):
+            for counts, tables, rows in spec.batches(range(50), 5, philox_generator()):
                 ragged.add(bool((counts != counts[0]).any()))
-                assert_fiber_rows_as_the_kernel(counts, utilities)
+                assert_fiber_rows_as_the_kernel(counts, tables, rows)
         assert ragged == {False, True}
 
     def test_radio_and_random_games(self):
@@ -308,7 +309,7 @@ class TestFiberRows:
         ]
         mixed = [sample_random_game(rng, (3, 4, 2)), sample_random_game(rng, (2, 2, 5))]
         for games in (radio[:2], radio[2:], mixed, mixed[1:]):
-            assert_fiber_rows_as_the_kernel(*stacked_tables(games)[::2])
+            assert_fiber_rows_as_the_kernel(*stacked_tables(games))
 
 
 class TestSingletonCheck:

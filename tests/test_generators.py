@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from sinkeq.errors import (
     InvalidParametersError,
     ValidationError,
 )
-from sinkeq.game import NormalFormGame, stacked_tables
+from sinkeq.game import NormalFormGame
 from sinkeq.generators import (
     BOUND_TOL,
     MAX_PROFILES,
@@ -45,6 +46,7 @@ from sinkeq.sinks import price_of_sinking
 from sinkeq.smoothness import measure_misalignment
 from sinkeq.streams import philox_generator
 
+from reference_kernels import stacked_tables
 from samplers import sample_near_common_game, trial_seed
 
 FOLDED_MEAN_3_REGIONS = 0.034998928235261174  # bias = scale = 0.01, three regions
@@ -444,10 +446,11 @@ def test_union_sums_in_small_blocks_match_reference(monkeypatch):
 
 
 def covering_batch(instances):
-    """The action counts and tables of each of ``instances``, with one agent
-    count, built together by ``_covering_tables`` as a Monte Carlo batch is
-    built.  A game over fewer regions than the widest gets the missing
-    regions with value and estimates 0, which none of its options covers."""
+    """The batch of ``instances``, with one agent count, built together by
+    ``_covering_tables`` as a Monte Carlo batch is built: the action counts,
+    one row per game, the columns and the column of each profile.  A game
+    over fewer regions than the widest gets the missing regions with value
+    and estimates 0, which none of its options covers."""
     n, m = instances[0].num_agents, max(instance.num_regions for instance in instances)
     counts = np.array([[len(opts) for opts in instance.options] for instance in instances])
     tables = np.zeros((len(instances), 1 + n, m))
@@ -458,19 +461,29 @@ def covering_batch(instances):
     for table, instance in zip(tables, instances):
         table[0, : instance.num_regions] = instance.values
         table[1:, : instance.num_regions] = instance.estimates
-    columns = generators._covering_tables(tables, np.packbits(masks, axis=1), counts)
-    return counts, np.split(columns, np.cumsum(counts.prod(axis=1))[:-1], axis=1)
+    return counts, *generators._covering_tables(tables, np.packbits(masks, axis=1), counts)
 
 
 def assert_batch_matches_alone(instances):
-    """A batch gives each instance, bit for bit, the tables that
-    ``make_covering_game`` gives it alone."""
-    counts, tables = covering_batch(instances)
+    """A batch gives each instance, bit for bit through the column of each
+    profile, the tables that ``make_covering_game`` gives it alone, and
+    holds exactly one column per distinct (game, union)."""
+    counts, columns, rows = covering_batch(instances)
+    tables = np.split(columns[:, rows], np.cumsum(counts.prod(axis=1))[:-1], axis=1)
     for row, table, instance in zip(counts.tolist(), tables, instances, strict=True):
         alone = make_covering_game(instance)
         assert tuple(row) == alone.action_counts
         assert table[0].tobytes() == alone.welfare.tobytes()
         assert table[1:].tobytes() == alone.utilities.tobytes()
+    # Each profile's (game, union), agent 0's option varying fastest.
+    unions = [
+        (game, frozenset().union(*profile))
+        for game, instance in enumerate(instances)
+        for profile in itertools.product(*instance.options[::-1])
+    ]
+    assert columns.flags.c_contiguous and rows.shape == (len(unions),)
+    assert len(set(zip(unions, rows.tolist()))) == len(set(unions)) == columns.shape[1]
+    assert np.unique(rows).size == columns.shape[1]
 
 
 def wide_instances(m, seeds):
@@ -526,8 +539,8 @@ class TestBatchCoveringGames:
             CoveringInstance(values, options, bias=0.01, scale=0.3, seed=seed)
             for seed in range(generators._BATCH_STATES)
         ]
-        _, tables = covering_batch(instances)
-        assert len({table[1:].tobytes() for table in tables}) == len(tables)
+        _, columns, rows = covering_batch(instances)
+        assert len({columns[1:, row].tobytes() for row in rows}) == len(instances)
         assert_batch_matches_alone(instances)
 
     @pytest.mark.parametrize(
@@ -800,9 +813,9 @@ def count_batches(monkeypatch):
     batches = []
     analyze = generators.batch_prices
 
-    def counted(counts, welfare, utilities):
+    def counted(counts, tables, rows):
         batches.append(counts)
-        return analyze(counts, welfare, utilities)
+        return analyze(counts, tables, rows)
 
     monkeypatch.setattr(generators, "batch_prices", counted)
     return batches
@@ -842,7 +855,7 @@ class TestBatchedMonteCarlo:
         [
             (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), 30, 5, None),
             (CoveringMonteCarloSpec(3, 5, 0.2, 0.4), 25, 2, 100),
-            (RadioMonteCarloSpec(9, 0.8), 7, 3, None),
+            (RadioMonteCarloSpec(9, 0.8), 12, 3, None),
             (RadioMonteCarloSpec(12, 0.8), 2, 0, None),
             (RadioMonteCarloSpec(3, 0.7), 40, 1, 50),
             (CoveringMonteCarloSpec(3, 9, 0.2, 0.4), 30, 1, 300),
@@ -875,7 +888,7 @@ class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("where", ["draw", "analysis", "build"])
     def test_a_failing_trial_reports_as_in_the_loop(self, monkeypatch, failing, where):
         # Trials hold at most 256 states, so trials 9 and 10 sit inside
-        # the second or third batch of 2,048 states.  Both runs draw every
+        # the first batch of 4,096 states, and trial 17 inside the second.  Both runs draw every
         # trial's options through ``_option_draws`` and build every game's
         # tables through ``_covering_tables``, so the failures go there.
         spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
@@ -903,10 +916,10 @@ class TestBatchedMonteCarlo:
             assert type(loop.value) is DegenerateWelfareError
 
     def test_an_overflowing_trial_inside_a_batch_reports_as_in_the_loop(self, monkeypatch):
-        # Trial 9 sits inside a batch of 2,048 states.  Its estimates are
+        # Trial 17 sits inside a batch of 4,096 states.  Its estimates are
         # finite, but any two of them sum to inf.
         draw = generators._estimate_draws
-        bad_key = stream_key(trial_seed(7, 9), 1)
+        bad_key = stream_key(trial_seed(7, 17), 1)
 
         def patched(*args):
             estimates = draw(*args)
@@ -920,12 +933,12 @@ class TestBatchedMonteCarlo:
             per_trial_monte_carlo(spec, 20, 7)
         with np.errstate(over="ignore"), pytest.raises(GameAnalysisError) as batched:
             run_monte_carlo(spec, 20, 7)
-        message = "trial 9 (master_seed=7): utility entries must be finite"
+        message = "trial 17 (master_seed=7): utility entries must be finite"
         assert type(batched.value) is type(loop.value) is ValidationError
         assert str(batched.value) == str(loop.value) == message
-        # Trials 0 to 7 fill the first batch; trial 8 shares the second with
-        # trial 9, and is priced again alone before trial 9 fails alone.
-        assert [len(counts) for counts in batches] == [8, 1]
+        # Trials 0 to 15 fill the first batch; trial 16 shares the second
+        # with trial 17, and is priced again alone before trial 17 fails alone.
+        assert [len(counts) for counts in batches] == [16, 1]
 
     def test_a_covering_run_builds_no_per_trial_objects(self, monkeypatch):
         built = []
@@ -1032,8 +1045,8 @@ class TestBatchPrices:
         assert any(v for v, _ in ranges) is varying
         assert any(c for _, c in ranges)
         got = []
-        for counts, welfare, utilities in spec.batches(range(30), seed, philox_generator()):
-            got += generators.batch_prices(counts, welfare, utilities)
+        for batch in spec.batches(range(30), seed, philox_generator()):
+            got += generators.batch_prices(*batch)
         want = [price_of_sinking(game, BEST)[0] for game in games]
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -1048,6 +1061,27 @@ class TestBatchPrices:
         want, _ = price_of_sinking(game, BEST)
         got = generators.batch_prices(*stacked_tables([game]))
         assert np.array(got).tobytes() == np.array([want]).tobytes() == np.array([0.0]).tobytes()
+
+
+class TestBatchMemory:
+    # The tracemalloc peak of one benchmark-shaped covering op above its
+    # start, after a warm-up op, per state a batch may hold.  Measured at
+    # 4,096 states: 700,111 bytes (171 bytes a state), against 884,171 when
+    # every profile has its own table column; Python 3.11, numpy 2.4.6.
+    # The budget is the measurement plus 20%.
+    BYTES_PER_STATE = 205
+
+    def test_peak_per_batch_state(self):
+        spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
+        run_monte_carlo(spec, 50, 5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_monte_carlo(spec, 50, 5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BYTES_PER_STATE * generators._BATCH_STATES, peak
 
 
 class TestBatchPriceWork:
@@ -1078,16 +1112,16 @@ class TestBatchPriceWork:
 
         total = 0
         spec = CoveringMonteCarloSpec(4, 8, 0.0, 1.0)
-        for counts, welfare, utilities in spec.batches(range(50), 5, philox_generator()):
-            members, sizes = sinks._sink_partition(stacked_kernel(counts, utilities))
+        for counts, tables, rows in spec.batches(range(50), 5, philox_generator()):
+            members, sizes = sinks._sink_partition(stacked_kernel(counts, tables[1:, rows]))
             starts = np.cumsum(sizes) - sizes
-            values = welfare[members]
+            values = tables[0, rows[members]]
             varying = np.minimum.reduceat(values, starts) < np.maximum.reduceat(values, starts)
             with monkeypatch.context() as patch:
                 patch.setattr(sinks, "_fiber_triples", counted)
                 patch.setattr(sinks, "stacked_kernel", refuse)
                 built.clear()
-                generators.batch_prices(counts, welfare, utilities)
+                generators.batch_prices(counts, tables, rows)
             states = int(sizes[varying].sum())
             assert built == ([states] if states else [])
             total += states

@@ -98,6 +98,12 @@ def invocations(names) -> list[list[str]]:
                 "--seed", "3", "--format", "csv"])
     out.append(["radio-mc", "--n", "12", "--alpha", "0.8", "--trials", "2",
                 "--format", "csv"])
+    # Runs of several batches whose sinks' welfare varies, so that they are
+    # priced by a stationary solve, and of several multi-game radio batches.
+    out.append(["covering-mc", "--n", "4", "--regions", "8", "--bias", "0",
+                "--scale", "1", "--trials", "50", "--seed", "5", "--format", "csv"])
+    out.append(["radio-mc", "--n", "8", "--alpha", "0.8", "--trials", "50",
+                "--seed", "5", "--format", "csv"])
     # Covering trials of one and two regions, where many agents draw an
     # all-empty block of options and draw again.  The noise makes each
     # trial's price depend on both the options and the estimates; without

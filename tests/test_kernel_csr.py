@@ -16,7 +16,7 @@ from sinkeq.dynamics import (
     build_kernel,
     stacked_kernel,
 )
-from sinkeq.game import NormalFormGame, enumerate_nash, stacked_tables
+from sinkeq.game import NormalFormGame, enumerate_nash
 from sinkeq.generators import (
     CoveringMonteCarloSpec,
     RadioMonteCarloSpec,
@@ -30,7 +30,7 @@ from sinkeq.generators import (
 from sinkeq.sinks import _tarjan, price_of_sinking, sink_components, stationary_distributions
 from sinkeq.streams import philox_generator
 
-from reference_kernels import row, stack_kernels
+from reference_kernels import row, stack_kernels, stacked_tables
 from samplers import sample_action_counts, trial_seed
 
 
@@ -329,8 +329,8 @@ def covering_batch_kernels(master):
     """The block-diagonal kernels that run_monte_carlo searches in a
     benchmark ``covering-mc`` run, built as it builds them."""
     spec = CoveringMonteCarloSpec(4, 8, 0.01, 0.01)
-    for counts, _, utilities in spec.batches(range(50), master, philox_generator()):
-        yield stacked_kernel(counts, utilities, BEST)
+    for counts, tables, rows in spec.batches(range(50), master, philox_generator()):
+        yield stacked_kernel(counts, tables[1:, rows], BEST)
 
 
 def radio_pool_kernels(seed):
@@ -416,27 +416,23 @@ def fiber_search_batches():
     game alone."""
     for spec in (CoveringMonteCarloSpec(4, 8, 0.01, 0.01), CoveringMonteCarloSpec(4, 8, 0, 1)):
         for master in range(5, 10):
-            for batch, (counts, _, utilities) in enumerate(
-                spec.batches(range(50), master, philox_generator())
-            ):
-                yield f"covering-{spec.bias}-{master}-{batch}", counts, utilities
+            for batch, arrays in enumerate(spec.batches(range(50), master, philox_generator())):
+                yield f"covering-{spec.bias}-{master}-{batch}", *arrays
     spec = RadioMonteCarloSpec(8, 0.8)
-    for batch, (counts, _, utilities) in enumerate(spec.batches(range(50), 5, philox_generator())):
-        yield f"radio-8-{batch}", counts, utilities
+    for batch, arrays in enumerate(spec.batches(range(50), 5, philox_generator())):
+        yield f"radio-8-{batch}", *arrays
     for m in (8, 64):
-        counts, _, utilities = stacked_tables([staircase_game(m)])
-        yield f"staircase-{m}", counts, utilities
+        yield f"staircase-{m}", *stacked_tables([staircase_game(m)])
     for i, game in enumerate(GAMES):
-        counts, _, utilities = stacked_tables([game])
-        yield f"corpus-{i}", counts, utilities
+        yield f"corpus-{i}", *stacked_tables([game])
 
 
 def test_fiber_search_arrays():
     ragged, fallbacks = set(), []
-    for name, counts, utilities in fiber_search_batches():
+    for name, counts, tables, rows in fiber_search_batches():
         ragged.add(bool((counts != counts[0]).any()))
-        found = sinks._fiber_sinks(best_response_fibers(counts, utilities))
-        want = sinks._sink_partition(stacked_kernel(counts, utilities, BEST))
+        found = sinks._fiber_sinks(best_response_fibers(counts, tables[1:], rows))
+        want = sinks._sink_partition(stacked_kernel(counts, tables[1:, rows], BEST))
         if found is None:
             fallbacks.append(name)
             continue
@@ -466,9 +462,9 @@ def tied_batches(draw):
 @settings(max_examples=300, deadline=None)
 @given(tied_batches())
 def test_fiber_search_agrees_with_networkx(games):
-    counts, _, utilities = stacked_tables(games)
-    kernel = stacked_kernel(counts, utilities, BEST)
-    found = sinks._fiber_sinks(best_response_fibers(counts, utilities))
+    counts, tables, rows = stacked_tables(games)
+    kernel = stacked_kernel(counts, tables[1:], BEST)
+    found = sinks._fiber_sinks(best_response_fibers(counts, tables[1:], rows))
     assert sinks._sink_tuples(*found) == networkx_sinks(kernel)
     for got, want in zip(found, sinks._sink_partition(kernel)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -228,6 +228,17 @@ class TestBestSmoothnessOracle:
     @example(game=found_game(1.0))
     @example(game=counterexample_game(1.0, 2.0))
     @example(game=NormalFormGame((2,), [1.0, 0.0], [[0.0, 1.0]]))
+    # Crossings past the float range whose mu = 1/t is in it: the envelope
+    # rises (a deviation of -2.2e-311 one welfare unit below the optimum),
+    # and the walk stops at a line falling by 1e-310.
+    @example(
+        game=NormalFormGame(
+            (4, 2),
+            [0, 0, 0, 0, 0, 0, 0, 1.0],
+            [[0, 0, 0, 0.125, 0, 0, 0, 0.125], [0, 0, 0, -2.22507386e-311, 0, 0, 0, 0]],
+        )
+    )
+    @example(game=NormalFormGame((3,), [0.5, 1.0, 0.75], [[0.0, 0.0, 1e-310]]))
     def test_matches_the_exact_envelope(self, game, common_interest):
         supremum, attained = envelope_oracle(game, common_interest)
         if supremum == 0 and not attained:
