@@ -13,7 +13,6 @@ from .errors import (
     GameAnalysisError,
     InvalidActionError,
     InvalidParametersError,
-    NoEquilibriumError,
     NumericalFailureError,
     SchemaError,
     ValidationError,
@@ -25,10 +24,8 @@ from .game import (
     enumerate_nash,
     game_from_dict,
     game_to_dict,
-    is_nash,
     load_game,
     optimal_profile,
-    price_of_anarchy,
 )
 from .generators import (
     CoveringInstance,
@@ -53,7 +50,6 @@ from .sinks import (
     price_of_sinking,
     sink_components,
     sink_equilibria,
-    stationary_distributions,
 )
 from .smoothness import (
     BoundReport,

@@ -2,7 +2,7 @@
 
 All reports embed the request that produced them and are byte-identical for
 identical requests.  Exit codes: 0 success, 1 schema or argument validation,
-2 degenerate welfare or missing equilibria, 3 numerical failure.
+2 degenerate welfare or no smoothness certificate, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .dynamics import BEST, BETTER, build_kernel
 from .errors import (
     CertificateNotFoundError,
     DegenerateWelfareError,
-    NoEquilibriumError,
     NumericalFailureError,
     ValidationError,
     WitnessNotFoundError,
@@ -147,7 +146,7 @@ def cmd_smoothness(args: argparse.Namespace) -> int:
             "request": _request_dict(args),
             "lambda": lam,
             "mu": mu,
-            "ratio": lam / mu if mu > 0 else 0.0,
+            "ratio": lam / mu,
             "valid": cert.valid,
             "min_slack": cert.min_slack,
             "optimum": _joint_dict(cert.optimum),
@@ -338,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NoEquilibriumError, DegenerateWelfareError, CertificateNotFoundError) as exc:
+    except (DegenerateWelfareError, CertificateNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailureError, WitnessNotFoundError) as exc:

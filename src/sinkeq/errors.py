@@ -21,10 +21,6 @@ class InvalidParametersError(ValidationError):
     """Operation parameters violate a documented precondition."""
 
 
-class NoEquilibriumError(GameAnalysisError):
-    """A Nash-based quantity was requested on a game without pure equilibria."""
-
-
 class DegenerateWelfareError(GameAnalysisError):
     """The optimal welfare is zero, so welfare ratios are undefined."""
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DegenerateWelfareError,
     InvalidActionError,
-    NoEquilibriumError,
     SchemaError,
     ValidationError,
 )
@@ -155,14 +154,6 @@ class NormalFormGame:
         states = np.asarray(states, dtype=np.int64)
         return (states[:, None] // self.strides % self.action_counts).tolist()
 
-    def joint(self, action: JointAction | Sequence[int] | int) -> JointAction:
-        """Coerce a flat index, coordinate sequence, or JointAction."""
-        if isinstance(action, JointAction):
-            return action
-        if isinstance(action, (int, np.integer)):
-            return self.index_to_joint(int(action))
-        return self.index_to_joint(self.joint_to_index(action))
-
     def action_axis(self, table: np.ndarray, player: int) -> np.ndarray:
         """View of a flat per-state ``table`` as ``(high, actions, low)``, no
         copy: axis 1 runs over ``player``'s action, the other players' fixed.
@@ -207,27 +198,9 @@ def _nash_mask(game: NormalFormGame) -> np.ndarray:
     return mask
 
 
-def is_nash(game: NormalFormGame, action: JointAction | Sequence[int] | int) -> bool:
-    """True iff no player gains from any unilateral deviation (exact comparison).
-
-    Checks every state, O(num_profiles) a call; ``enumerate_nash`` is the
-    one pass for many states.
-    """
-    return bool(_nash_mask(game)[game.joint(action).flat])
-
-
 def enumerate_nash(game: NormalFormGame) -> list[JointAction]:
     """All pure Nash equilibria in flat-index order (possibly empty)."""
     return [game.index_to_joint(int(f)) for f in np.flatnonzero(_nash_mask(game))]
-
-
-def price_of_anarchy(game: NormalFormGame) -> float:
-    """Worst pure-equilibrium welfare divided by the optimal welfare."""
-    equilibria = enumerate_nash(game)
-    if not equilibria:
-        raise NoEquilibriumError("game has no pure Nash equilibrium")
-    _, wopt = positive_optimum(game)
-    return min(float(game.welfare[ne.flat]) for ne in equilibria) / wopt
 
 
 # ---------------------------------------------------------------------------

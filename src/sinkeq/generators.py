@@ -444,7 +444,6 @@ class RadioInstance:
     weights: np.ndarray
     alpha: float
     estimates: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -495,13 +494,12 @@ def sample_radio_instance(
     Sampling factors log-uniformly on [alpha, 1/alpha] keeps ratios symmetric
     around 1; with alpha = 1 every estimate equals the true weight exactly.
     """
-    return _radio_instance(num_agents, alpha, seed, weights, rng=philox_rng(seed, 0))
+    return _radio_instance(num_agents, alpha, weights, rng=philox_rng(seed, 0))
 
 
 def _radio_instance(
     num_agents: int,
     alpha: float,
-    seed: int,
     weights: np.ndarray | None = None,
     *,
     rng: np.random.Generator,
@@ -526,9 +524,7 @@ def _radio_instance(
     span = abs(math.log(alpha))
     factors = np.exp(rng.uniform(-span, span, size=(n, n, n)))
     estimates = weights[None, :, :] * factors
-    return RadioInstance(
-        weights=weights, alpha=float(alpha), estimates=estimates, seed=int(seed)
-    )
+    return RadioInstance(weights=weights, alpha=float(alpha), estimates=estimates)
 
 
 # States per block of ``make_radio_game``'s tables: a block's ``split``
@@ -574,7 +570,9 @@ def radio_sinking_bound(num_agents: int, alpha: float) -> float:
         raise InvalidParametersError("need at least one agent")
     if not 0.0 < alpha <= 1.0:
         raise InvalidParametersError("alpha must lie in (0, 1]")
-    return multiplicative_sinking_bound(1.0, 3.0, num_agents, 1.0 - alpha)
+    # 1 - alpha rounds to 1.0 for alpha <= 2**-54, though it lies below 1.
+    beta = min(1.0 - alpha, math.nextafter(1.0, 0.0))
+    return multiplicative_sinking_bound(1.0, 3.0, num_agents, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +624,7 @@ class CoveringMonteCarloSpec:
         at a time, then each batch's estimates and its columns, one per
         distinct (game, union)."""
         n, m, noise = self.num_agents, self.num_regions, (self.bias, self.scale)
-        for _, keys in _trial_keys(trials, master_seed, self.streams):
+        for keys in _trial_keys(trials, master_seed, self.streams):
             counts, bits = _option_draws(n, m, keys[:, 0], rng)
             rows = [0] + np.cumsum(counts.sum(axis=1)).tolist()
             for lo, hi in _batches([math.prod(row) for row in counts.tolist()]):
@@ -655,9 +653,9 @@ class RadioMonteCarloSpec:
         drawn one by one, whose tables are written side by side, one column
         per state; a batch ends when the next 2^n states would not fit."""
         n, instances = self.num_agents, []
-        for seeds, keys in _trial_keys(trials, master_seed, self.streams):
-            for seed, key in zip(seeds, keys):
-                instances.append(_radio_instance(n, self.alpha, seed, rng=rekeyed(rng, key[0])))
+        for keys in _trial_keys(trials, master_seed, self.streams):
+            for key in keys:
+                instances.append(_radio_instance(n, self.alpha, rng=rekeyed(rng, key[0])))
                 if (len(instances) + 1) << n > _BATCH_STATES:
                     yield _radio_batch(instances)
                     instances = []
@@ -710,11 +708,9 @@ _BATCH_STATES = 1 << 12
 _KEY_CHUNK = 1 << 10
 
 
-def _trial_keys(
-    trials: range, master_seed: int, streams: int
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """The seeds of ``trials``, and the Philox keys of each trial's
-    ``streams`` streams, ``(trials, streams, 2)``, from one ``spawn_states``
+def _trial_keys(trials: range, master_seed: int, streams: int) -> Iterator[np.ndarray]:
+    """The Philox keys of each trial's ``streams`` streams, ``(trials,
+    streams, 2)``, derived from the trial seeds with one ``spawn_states``
     pass each per ``_KEY_CHUNK`` trials."""
     for lo in range(trials.start, trials.stop, _KEY_CHUNK):
         chunk = np.arange(lo, min(lo + _KEY_CHUNK, trials.stop), dtype=np.uint64)
@@ -722,7 +718,7 @@ def _trial_keys(
         keys = spawn_states(
             np.repeat(seeds, streams), np.tile(np.arange(streams, dtype=np.uint64), len(seeds)), 4
         )
-        yield seeds.tolist(), keys.view("<u8").reshape(len(seeds), streams, 2)
+        yield keys.view("<u8").reshape(len(seeds), streams, 2)
 
 
 def _batches(profiles: Sequence[int]) -> Iterator[tuple[int, int]]:

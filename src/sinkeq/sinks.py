@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -95,15 +95,6 @@ def _tarjan(kernel: TransitionKernel) -> tuple[list[tuple[int, ...]], np.ndarray
                     label[w] = cid
                 components.append(tuple(sorted(comp)))
     return components, np.array(label, dtype=np.int64)
-
-
-def _tarjan_sinks(kernel: TransitionKernel) -> list[tuple[int, ...]]:
-    """Sinks in the order ``_tarjan`` pops them, from its SCC labels."""
-    components, label = _tarjan(kernel)
-    src_label = np.repeat(label, np.diff(kernel.indptr))
-    escapes = np.zeros(len(components), dtype=bool)
-    escapes[src_label[src_label != label[kernel.indices]]] = True
-    return [components[cid] for cid in np.flatnonzero(~escapes).tolist()]
 
 
 # Sweeps that a sink search may make, marking and coloring together, before
@@ -265,9 +256,14 @@ def _sink_partition(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tarjan_partition(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
-    """``_sink_partition`` from ``_tarjan_sinks``."""
+    """``_sink_partition`` from ``_tarjan``'s SCC labels: the SCCs that no
+    edge leaves."""
+    components, label = _tarjan(kernel)
+    src_label = np.repeat(label, np.diff(kernel.indptr))
+    escapes = np.zeros(len(components), dtype=bool)
+    escapes[src_label[src_label != label[kernel.indices]]] = True
     # Sinks are disjoint, so tuples sort by their smallest state.
-    sinks = sorted(_tarjan_sinks(kernel))
+    sinks = sorted(components[cid] for cid in np.flatnonzero(~escapes).tolist())
     return np.fromiter(chain.from_iterable(sinks), np.int64), np.array(list(map(len, sinks)))
 
 
@@ -338,38 +334,6 @@ def _sink_tuples(members: np.ndarray, sizes: np.ndarray) -> list[tuple[int, ...]
 # The chain on supports laid end to end, on local indices, row after row:
 # each row's entry count, then every entry's column and probability.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _support_rows(
-    kernel: TransitionKernel, supports: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The supports' states laid end to end, each support's in increasing
-    order, and the supports' sizes; refused unless every support lists
-    distinct integer states of the kernel."""
-    arrays = [np.asarray(support) for support in supports]
-    if any(array.ndim != 1 or not array.size for array in arrays):
-        raise InvalidParametersError("support must be a nonempty sequence of states")
-    for array in arrays:
-        if array.dtype.kind not in "iu":
-            raise InvalidParametersError(f"support states must be integers, not {array.dtype}")
-    sizes = np.array([array.size for array in arrays])
-    starts = np.cumsum(sizes) - sizes
-    rows = np.concatenate(arrays, dtype=np.int64, casting="unsafe")
-    lows = np.minimum.reduceat(rows, starts)
-    highs = np.maximum.reduceat(rows, starts)
-    outside = np.flatnonzero((lows < 0) | (highs >= kernel.num_states))
-    if outside.size:
-        j = outside[0]
-        bad = lows[j] if lows[j] < 0 else highs[j]
-        raise InvalidParametersError(
-            f"support state {bad} is outside [0, {kernel.num_states})"
-        )
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    rows = rows[np.lexsort((rows, owner))]
-    repeats = np.flatnonzero((rows[1:] == rows[:-1]) & (owner[1:] == owner[:-1]))
-    if repeats.size:
-        raise InvalidParametersError(f"support repeats state {rows[repeats[0]]}")
-    return rows, sizes
 
 
 def _support_triples(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> Triples:
@@ -541,53 +505,19 @@ def _power_iteration(triples: Triples, d: np.ndarray, sizes: np.ndarray) -> np.n
     return pi
 
 
-def stationary_distributions(
-    kernel: TransitionKernel, supports: Sequence[Sequence[int]]
-) -> list[np.ndarray]:
-    """Unique stationary vector of the chain restricted to each of several
-    disjoint sink components, in the order given.
-
-    Iterates on the sinks' sparse CSR rows, laid end to end, so no k-by-k
-    matrix is built and one product per step serves every sink.  Each step
-    is a damped Jacobi (JOR) step on the balance equations, ``pi <- pi + w
-    (pi P - pi) / (1 - d)`` with d the self-loop probability of each state
-    and ``w = _OMEGA`` below 1, then a renormalization; its fixed point is
-    the vector with ``pi = pi P``.  Dividing by ``1 - d`` takes out the
-    self-loops, which hold about a third of each row's mass on response
-    chains, mass that a step with P itself leaves in place; a weight below 1
-    keeps the step aperiodic on every irreducible chain, self-loops or not.
-    A state of a multi-state support that only loops to itself makes
-    ``1 - d`` zero; such a support is no sink and is refused.  Each sink
-    stops once its ``max |pi P - pi| <= POWER_TOL``, read from the product
-    that also makes the next step, and the residual of its normalized
-    vector is then certified against STATIONARY_TOL on the same rows.  The
-    products are ordered ``np.bincount`` sums with no BLAS call, and every
-    sink's numbers are those of a solve on that sink alone, so the bits do
-    not depend on the BLAS library, its thread count or the other sinks.
-    Each support lists distinct integer states of the kernel, in any order,
-    and no two share a state; anything else is refused.  A one-state
-    support is closed only when its row is its self-loop alone, and needs
-    no solve.  When several supports fail, the first check that any fails
-    names the first support to fail it, in the order: the states, sharing,
-    closure, self-loops, convergence, normalization, residual, positivity.
-    """
-    if len(supports) == 0:
-        return []
-    rows, sizes = _support_rows(kernel, supports)
-    pi = _stationary(kernel, rows, sizes)
-    pi.setflags(write=False)
-    return np.split(pi, np.cumsum(sizes)[:-1])
-
-
-def _stationary(kernel: TransitionKernel, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``stationary_distributions`` of supports laid end to end, ``sizes``
-    states each in increasing order, as one array laid out alike; the
-    states are taken as distinct states of the kernel."""
-    return _solve(_support_triples(kernel, rows, sizes), rows, sizes)
-
-
 def _solve(triples: Triples, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``_stationary`` of the supports' entries ``triples``."""
+    """Unique stationary vector of the chain on each of several supports,
+    given by their entries ``triples``, laid out as ``rows``: the supports
+    laid end to end, ``sizes`` states each in increasing order.
+
+    The products are ordered ``np.bincount`` sums with no BLAS call, and
+    every sink's numbers are those of a solve on that sink alone, so the bits
+    do not depend on the BLAS library, its thread count or the other sinks.
+    When several supports fail, the first check that any fails names the
+    first support to fail it, in the order: sharing and closure (refused by
+    ``_local_triples``), self-loops, convergence, normalization, residual,
+    positivity.
+    """
     multi = sizes > 1
     d = _diagonal(triples, rows.size)
     stuck = np.flatnonzero(np.repeat(multi, sizes) & (d >= 1.0))
@@ -652,7 +582,7 @@ def sink_equilibria(
     smallest support state."""
     kernel = build_kernel(game, mode=mode, tie_tol=tie_tol)
     members, sizes = _sink_partition(kernel)
-    pi = _stationary(kernel, members, sizes)
+    pi = _solve(_support_triples(kernel, members, sizes), members, sizes)
     expected = _expected_welfare(
         game.welfare[members], sizes, lambda varying: pi[np.repeat(varying, sizes)]
     )

@@ -1,11 +1,13 @@
 """Per-game kernel construction and block-diagonal stacking, kept as
 references for the batch kernel builder and for tests that stack kernels
-of any shape, with a per-state response-set oracle, a kernel row reader
-and the batch form of games' tables."""
+of any shape, with a per-state response-set oracle, a kernel row reader,
+the batch form of games' tables and the stationary solve of given
+supports."""
 
 import numpy as np
 
 from sinkeq.dynamics import BEST, TransitionKernel
+from sinkeq.sinks import _solve, _support_triples
 
 
 def stacked_tables(games):
@@ -15,6 +17,16 @@ def stacked_tables(games):
     counts = np.array([game.action_counts for game in games])
     tables = np.hstack([np.vstack([game.welfare, game.utilities]) for game in games])
     return counts, tables, np.arange(tables.shape[1])
+
+
+def solve_supports(kernel, supports):
+    """The stationary vector of each of ``supports``, on its states in
+    increasing order, from one solve of them all, as ``sink_equilibria``
+    runs it."""
+    rows = np.concatenate([np.sort(support) for support in supports]).astype(np.int64)
+    sizes = np.array([len(support) for support in supports])
+    pi = _solve(_support_triples(kernel, rows, sizes), rows, sizes)
+    return np.split(pi, np.cumsum(sizes)[:-1])
 
 
 def row(kernel, state):

@@ -296,6 +296,13 @@ class TestMonteCarloCommands:
         assert payload["summary"]["violations"] == 0
         assert payload["summary"]["trials"] == 40
 
+    def test_radio_mc_takes_an_alpha_whose_complement_rounds_to_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "radio-mc", "--n", "3", "--alpha", "1e-300", "--trials", "2"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["summary"]["bound"] == 1 / 3
+
     def test_covering_mc_csv_rows(self, capsys):
         code, out, _ = run_cli(
             capsys,

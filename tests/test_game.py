@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinkeq.cli import _analysis_dict
+from sinkeq.dynamics import BEST
 from sinkeq.errors import (
     DegenerateWelfareError,
     InvalidActionError,
-    NoEquilibriumError,
     SchemaError,
     ValidationError,
 )
@@ -17,10 +18,8 @@ from sinkeq.game import (
     enumerate_nash,
     game_from_dict,
     game_to_dict,
-    is_nash,
     load_game,
     optimal_profile,
-    price_of_anarchy,
 )
 from sinkeq.generators import counterexample_game, philox_rng, sample_random_game
 
@@ -57,6 +56,17 @@ def brute_force_nash(game):
         if good:
             out.append(flat)
     return out
+
+
+def is_nash(game, coords):
+    """Whether ``coords`` is one of ``enumerate_nash``'s equilibria."""
+    return game.joint_to_index(coords) in [ne.flat for ne in enumerate_nash(game)]
+
+
+def price_of_anarchy(game):
+    """The ``analyze`` report's worst pure-equilibrium welfare over the
+    optimal welfare, None when the game has no pure equilibrium."""
+    return _analysis_dict(game, BEST, 0.0)["price_of_anarchy"]
 
 
 class TestIndexing:
@@ -197,8 +207,6 @@ class TestNash:
                 continue
             g = sample_random_game(rng, counts)
             assert [ne.flat for ne in enumerate_nash(g)] == brute_force_nash(g)
-            for flat in range(g.num_profiles):
-                assert is_nash(g, flat) == (flat in brute_force_nash(g))
 
     def test_common_interest_optimum_always_nash(self):
         rng = philox_rng(12, 0)
@@ -207,7 +215,7 @@ class TestNash:
             w = rng.uniform(0, 1, size=int(np.prod(counts)))
             g = NormalFormGame(counts, w, np.vstack([w] * 2))
             opt, _ = optimal_profile(g)
-            assert is_nash(g, opt)
+            assert is_nash(g, opt.coords)
 
 
 class TestPriceOfAnarchy:
@@ -223,8 +231,7 @@ class TestPriceOfAnarchy:
         assert price_of_anarchy(g) == 1.0
 
     def test_no_equilibrium_error(self):
-        with pytest.raises(NoEquilibriumError):
-            price_of_anarchy(matching_pennies())
+        assert price_of_anarchy(matching_pennies()) is None
 
     def test_degenerate_welfare_error(self):
         g = NormalFormGame((2,), np.zeros(2), np.zeros((1, 2)))

@@ -43,7 +43,7 @@ from sinkeq.generators import (
     sample_random_game,
 )
 from sinkeq.sinks import price_of_sinking
-from sinkeq.smoothness import measure_misalignment
+from sinkeq.smoothness import measure_misalignment, multiplicative_sinking_bound
 from sinkeq.streams import philox_generator
 
 from reference_kernels import stacked_tables
@@ -613,6 +613,20 @@ class TestClosedFormBounds:
         assert radio_sinking_bound(4, 0.5) == pytest.approx(1 / 3.75)
         with pytest.raises(InvalidParametersError):
             radio_sinking_bound(2, 0.0)
+
+    def test_radio_bound_where_one_minus_alpha_rounds_to_one(self):
+        # 1 - alpha rounds to 1.0 for alpha <= 2**-54, though it lies below
+        # 1; the bound there is 1/n.
+        for alpha in (2.0**-54, 1e-300, 5e-324):
+            for n in (1, 3, 20):
+                assert radio_sinking_bound(n, alpha) == 1 / n
+        # Above it, every bit of the unclamped formula.
+        draws = np.exp(philox_rng(54, 0).uniform(math.log(2.0**-54), 0.0, size=200))
+        sweep = [math.nextafter(2.0**-54, 1.0), 2.0**-53, 1e-10, 0.5, 1.0, *draws.tolist()]
+        for alpha in sweep:
+            for n in (1, 3, 20):
+                old = multiplicative_sinking_bound(1.0, 3.0, n, 1.0 - alpha)
+                assert radio_sinking_bound(n, alpha) == old
 
 
 class TestRadioGames:

@@ -27,10 +27,10 @@ from sinkeq.generators import (
     sample_radio_instance,
     sample_random_game,
 )
-from sinkeq.sinks import _tarjan, price_of_sinking, sink_components, stationary_distributions
+from sinkeq.sinks import _tarjan, price_of_sinking, sink_components
 from sinkeq.streams import philox_generator
 
-from reference_kernels import row, stack_kernels, stacked_tables
+from reference_kernels import row, solve_supports, stack_kernels, stacked_tables
 from samplers import sample_action_counts, trial_seed
 
 
@@ -148,7 +148,7 @@ def assert_every_path_finds(kernel, expected):
         assert sink_components(kernel) == expected
         all_absorbing = expected == [(s,) for s in range(kernel.num_states)]
         assert calls == ([] if all_absorbing else [kernel.num_states])
-    assert sorted(sinks._tarjan_sinks(kernel)) == expected
+    assert sinks._sink_tuples(*sinks._tarjan_partition(kernel)) == expected
 
 
 @pytest.mark.parametrize("mode,tie_tol", CASES)
@@ -396,16 +396,13 @@ def test_sink_partition_arrays():
         members, sizes = sinks._sink_partition(kernel)
         assert members.dtype == sizes.dtype == np.int64, name
         found = sinks._sink_tuples(members, sizes)
-        assert found == sink_components(kernel) == sorted(sinks._tarjan_sinks(kernel)), name
-        # The stationary solve of the search's arrays, which skips the
-        # checks of given supports, against the public solve of the same
-        # supports, and of each alone.
-        pi = sinks._stationary(kernel, members, sizes)
-        solved = stationary_distributions(kernel, found)
-        assert pi.tobytes() == np.concatenate(solved).tobytes(), name
-        for support, vector in zip(found, solved):
+        tarjan = sinks._sink_tuples(*sinks._tarjan_partition(kernel))
+        assert found == sink_components(kernel) == tarjan, name
+        # The solve of every sink at once, as ``sink_equilibria`` runs it,
+        # against the solve of each alone.
+        for support, vector in zip(found, solve_supports(kernel, found)):
             if len(support) > 1:
-                alone = stationary_distributions(kernel, [support])[0]
+                alone = solve_supports(kernel, [support])[0]
                 assert vector.tobytes() == alone.tobytes(), name
 
 

@@ -13,7 +13,7 @@ from sinkeq.errors import (
     DegenerateWelfareError,
     InvalidParametersError,
 )
-from sinkeq.game import NormalFormGame, optimal_profile, price_of_anarchy
+from sinkeq.game import NormalFormGame, enumerate_nash, optimal_profile, positive_optimum
 from sinkeq.generators import (
     counterexample_game,
     make_covering_game,
@@ -133,7 +133,8 @@ class TestBestSmoothness:
             g = sample_game_with_pure_nash(rng)
             lam, mu = best_smoothness(g)
             assert check_smoothness(g, lam, mu).valid
-            assert lam / mu <= price_of_anarchy(g) + 1e-6
+            worst = min(g.welfare[ne.flat] for ne in enumerate_nash(g))
+            assert lam / mu <= worst / positive_optimum(g)[1] + 1e-6
 
     def test_walk_ends_when_rounding_brings_a_pair_back(self):
         # The six lines W(a) - t D(a) pass within two ulps of one point, and
